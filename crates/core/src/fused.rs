@@ -339,7 +339,7 @@ mod tests {
     /// bit-identical across optimizers, thread counts, and unit-norm.
     #[test]
     fn kvsall_fused_pass_matches_two_pass_reference_bitwise() {
-        use crate::grads::KvQuery;
+        use crate::grads::{KvQuery, KvRegConfig};
         use mei_eval::Side;
         use mei_kg::{SortedTargets, TripleStore};
 
@@ -358,7 +358,7 @@ mod tests {
                 let ent_params = ref_model.entities.len();
                 let state_len = ent_params + ref_model.relations.len();
                 let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-                ws.compute_kvsall(&ref_model, &queries, &targets, 0.01, 0.1, None);
+                ws.compute_kvsall(&ref_model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
                 let mut ref_opt = kind.build(state_len, 0.05);
                 ref_opt.step_begin();
                 ws.for_each_row(|row, grad| match row {
@@ -382,7 +382,7 @@ mod tests {
                 for threads in [1usize, 3, 8] {
                     let mut model = toy_model(29);
                     let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-                    ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, None);
+                    ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
                     let mut opt = kind.build(state_len, 0.05);
                     opt.step_begin();
                     fused_step_project_kvsall(

@@ -36,17 +36,30 @@
 //!
 //! # k-vs-all path
 //!
-//! [`GradWorkspace::compute_kvsall`] is a third compute entry point for
-//! the full-softmax training regime: each [`KvQuery`] group is scored
+//! [`GradWorkspace::compute_kvsall`] is the single compute entry point
+//! for the full-softmax training regime: each [`KvQuery`] group is scored
 //! against *every* entity with one cache-blocked
 //! [`mei_math::kernels::gemm_nt`], the softmax–cross-entropy residual is
 //! taken in place, and the backward decomposes into two GEMM-shaped
 //! passes (residual × entity table → per-group context gradients;
-//! residualᵀ × contexts → the dense entity-table gradient) plus the same
-//! sparse scatter core as the blocked path for anchor/relation/ω rows.
-//! It shares the chunk schedule, scratch, and merge machinery above, so
-//! the same thread-count bit-identity contract holds (see DESIGN.md §12
-//! for the full decomposition and determinism argument).
+//! residualᵀ × contexts → the dense entity-table gradient) plus a sparse
+//! scatter for the anchor/relation/ω rows.
+//!
+//! Every batch runs the same six-phase pipeline (DESIGN.md §17.3): input
+//! dropout → context build → batch norm → context dropout → score GEMM +
+//! softmax, then back through the same stages. A [`KvRegConfig`] stage
+//! that is switched off is an identity: no input mask means the raw rows
+//! feed the context build, no batch norm skips the two sequential moment
+//! reductions, no context dropout applies no mask. The sparse scatter
+//! accumulates each query's anchor/relation contribution term by term
+//! straight into the shared row (write form on a fresh row, exactly like
+//! the blocked path) unless input dropout is on; only then is the
+//! contribution built in a scratch row, scaled by the query's own mask,
+//! and added as a whole.
+//!
+//! The pipeline shares the chunk schedule, scratch, and merge machinery
+//! above, so the same thread-count bit-identity contract holds (see
+//! DESIGN.md §12 for the full decomposition and determinism argument).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -130,16 +143,19 @@ pub struct KvQuery {
     pub relation: RelationId,
 }
 
-/// Regularization knobs for the k-vs-all training path
-/// ([`GradWorkspace::compute_kvsall_reg`]).
+/// Regularizer stages of the k-vs-all pipeline
+/// ([`GradWorkspace::compute_kvsall`]).
+///
+/// Each stage is an identity when off, and [`KvRegConfig::default`] has
+/// every stage off: the raw anchor/relation rows build the context, no
+/// normalization runs, and no context mask is applied.
 ///
 /// All masks are **counter-based**: a mask bit is a pure function of
 /// `(mask_seed, global query index, stream)` through
 /// [`mei_math::reg::mask_stream_base`], so the forward and backward
 /// passes regenerate identical masks on any worker in any order — the
-/// thread-count bit-identity contract of the plain path carries over
-/// unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// thread-count bit-identity contract holds with any stage on.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KvRegConfig {
     /// Dropout probability on the interaction context (after batch norm,
     /// before the score GEMM). `0.0` disables.
@@ -153,8 +169,8 @@ pub struct KvRegConfig {
     /// [`crate::model::InteractionNorm`].
     pub batch_norm: bool,
     /// Seed for this batch's dropout masks; the trainer draws one per
-    /// batch from the training RNG so masks differ across batches but
-    /// resume bitwise from checkpoints.
+    /// batch from the training RNG (only when some stage is on) so masks
+    /// differ across batches but resume bitwise from checkpoints.
     pub mask_seed: u64,
 }
 
@@ -261,6 +277,59 @@ trait GradSink {
     fn omega_mut(&mut self) -> &mut [f32];
 }
 
+/// One accumulator row being filled with scaled Hadamard terms, one
+/// `d`-wide subslice per embedding component.
+///
+/// On a fresh row in write form the zero-fill is skipped: each
+/// subslice's first term takes the write-form kernel, later terms
+/// accumulate, and [`TermRow::finish`] zeroes the subslices no term
+/// touched — all bit-equal to zero-fill-then-accumulate. Otherwise a
+/// fresh row is zero-filled up front and every term accumulates.
+struct TermRow<'a> {
+    entry: &'a mut [f32],
+    d: usize,
+    /// Bit `s` set ⇒ subslice `s` already holds data; `MAX` disables
+    /// write-mode entirely (row not fresh, write form off, or too many
+    /// subslices for the mask).
+    written: u64,
+}
+
+impl<'a> TermRow<'a> {
+    /// Starts filling `entry`; `write_form` lets a fresh row take the
+    /// write-form kernels instead of an up-front zero-fill.
+    fn begin(entry: &'a mut [f32], fresh: bool, write_form: bool, d: usize) -> Self {
+        let written = if fresh && write_form && entry.len() / d <= 64 { 0 } else { u64::MAX };
+        if fresh && written == u64::MAX {
+            entry.fill(0.0);
+        }
+        Self { entry, d, written }
+    }
+
+    /// Subslice `sub` += `w · a ⊙ b`.
+    #[inline]
+    fn add(&mut self, sub: usize, w: f32, a: &[f32], b: &[f32]) {
+        let out = &mut self.entry[sub * self.d..(sub + 1) * self.d];
+        if self.written & (1 << sub) == 0 {
+            self.written |= 1 << sub;
+            hadamard_write_fast(w, a, b, out);
+        } else {
+            hadamard_axpy_fast(w, a, b, out);
+        }
+    }
+
+    /// Zeroes the subslices no term wrote and hands the row back.
+    fn finish(self) -> &'a mut [f32] {
+        if self.written != u64::MAX {
+            for (s, sub) in self.entry.chunks_mut(self.d).enumerate() {
+                if self.written & (1 << s) == 0 {
+                    sub.fill(0.0);
+                }
+            }
+        }
+        self.entry
+    }
+}
+
 /// Accumulates `coef · ∂S/∂θ` plus per-row L2 into `sink` for one
 /// example, given its anchor context `ctx` (which *is* `∂S/∂candidate`).
 ///
@@ -302,48 +371,22 @@ fn accumulate_example<S: GradSink>(
     }
 
     // Anchor row: one scaled Hadamard product per scoring term (same term
-    // walk as the context builders), then its L2 pull. On a fast sink a
-    // fresh row skips the zero-fill: each `d`-wide subslice's first term
-    // takes the write-form kernel, later terms accumulate, and subslices
-    // no term touches are zeroed before the L2 pull — all bit-equal to
-    // zero-fill-then-accumulate.
+    // walk as the context builders), then its L2 pull.
     {
         let (entry, fresh) = sink.row_mut(RowKey::Entity(anchor), ent_row_len);
-        let n_sub = ent_row_len / d;
-        // Bit `s` set ⇒ subslice `s` already holds data; `MAX` disables
-        // write-mode entirely (row not fresh, slow sink, or too many
-        // subslices for the mask).
-        let mut written: u64 =
-            if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
+        let mut row = TermRow::begin(entry, fresh, S::FAST, d);
         for &(i, j, k, w) in model.terms() {
-            let cw = coef * w;
             if w == 0.0 {
                 continue;
             }
-            let (sub, a_row, b_row) = match side {
+            match side {
                 // ∂S/∂h⁽ⁱ⁾ = Σ_{j,k} ω·t⁽ʲ⁾⊙r⁽ᵏ⁾
-                Side::Tail => (i, &t[j * d..(j + 1) * d], &r[k * d..(k + 1) * d]),
+                Side::Tail => row.add(i, coef * w, &t[j * d..(j + 1) * d], &r[k * d..(k + 1) * d]),
                 // ∂S/∂t⁽ʲ⁾ = Σ_{i,k} ω·h⁽ⁱ⁾⊙r⁽ᵏ⁾
-                Side::Head => (j, &h[i * d..(i + 1) * d], &r[k * d..(k + 1) * d]),
-            };
-            let out = &mut entry[sub * d..(sub + 1) * d];
-            if written & (1 << sub) == 0 {
-                written |= 1 << sub;
-                hadamard_write_fast(cw, a_row, b_row, out);
-            } else {
-                hadamard_axpy_fast(cw, a_row, b_row, out);
+                Side::Head => row.add(j, coef * w, &h[i * d..(i + 1) * d], &r[k * d..(k + 1) * d]),
             }
         }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
+        let entry = row.finish();
         if S::FAST {
             axpy_fast(l2_coef, model.entities.row(anchor), entry);
         } else {
@@ -352,36 +395,16 @@ fn accumulate_example<S: GradSink>(
     }
 
     // Relation row: ∂S/∂r⁽ᵏ⁾ = Σ_{i,j} ω·h⁽ⁱ⁾⊙t⁽ʲ⁾, then its L2 pull.
-    // Same fresh-row write-mode scheme as the anchor row, keyed on `k`.
     {
         let (entry, fresh) = sink.row_mut(RowKey::Relation(ex.relation.idx()), rel_row_len);
-        let n_sub = rel_row_len / d;
-        let mut written: u64 =
-            if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
+        let mut row = TermRow::begin(entry, fresh, S::FAST, d);
         for &(i, j, k, w) in model.terms() {
-            let cw = coef * w;
             if w == 0.0 {
                 continue;
             }
-            let out = &mut entry[k * d..(k + 1) * d];
-            let (a_row, b_row) = (&h[i * d..(i + 1) * d], &t[j * d..(j + 1) * d]);
-            if written & (1 << k) == 0 {
-                written |= 1 << k;
-                hadamard_write_fast(cw, a_row, b_row, out);
-            } else {
-                hadamard_axpy_fast(cw, a_row, b_row, out);
-            }
+            row.add(k, coef * w, &h[i * d..(i + 1) * d], &t[j * d..(j + 1) * d]);
         }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
+        let entry = row.finish();
         if S::FAST {
             axpy_fast(l2_coef, r, entry);
         } else {
@@ -437,49 +460,19 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `work` over `(item chunk, scratch chunk)` pairs on a pool of
-/// at most `threads` workers draining a shared queue. Items are labeled
-/// examples on the negative-sampling paths and [`KvQuery`] groups on the
-/// k-vs-all path.
+/// Runs `work` over `(item chunk, scratch chunk, global item offset)`
+/// triples on a pool of at most `threads` workers draining a shared
+/// queue. Items are labeled examples on the negative-sampling paths and
+/// [`KvQuery`] groups on the k-vs-all path; the offset (`chunk index ×
+/// chunk`) keys the k-vs-all counter-based dropout masks by batch-wide
+/// query index.
 ///
 /// Which worker runs which chunk is invisible to the result: every chunk
-/// writes only its own scratch, and the caller merges scratch in chunk
-/// order afterwards, so neither the worker count nor OS scheduling can
-/// reach the floating-point stream.
+/// writes only its own scratch, the offset is a pure function of the
+/// batch shape, and the caller merges scratch in chunk order afterwards,
+/// so neither the worker count nor OS scheduling can reach the
+/// floating-point stream.
 fn run_chunked<T: Sync, C: Send>(
-    items: &[T],
-    chunk: usize,
-    scratch: &mut [C],
-    threads: usize,
-    work: impl Fn(&[T], &mut C) + Sync,
-) {
-    let workers = threads.min(scratch.len());
-    if workers <= 1 {
-        for (it, c) in items.chunks(chunk).zip(scratch.iter_mut()) {
-            work(it, c);
-        }
-        return;
-    }
-    let queue = std::sync::Mutex::new(items.chunks(chunk).zip(scratch.iter_mut()));
-    rayon::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let next = queue.lock().unwrap().next();
-                match next {
-                    Some((ex, c)) => work(ex, c),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
-/// [`run_chunked`] variant that also hands each chunk its global item
-/// offset (`chunk index × chunk`), which the regularized k-vs-all path
-/// needs to key counter-based dropout masks by batch-wide query index —
-/// the offset is a pure function of the batch shape, never of which
-/// worker runs the chunk.
-fn run_chunked_idx<T: Sync, C: Send>(
     items: &[T],
     chunk: usize,
     scratch: &mut [C],
@@ -702,18 +695,17 @@ struct BlockedChunk {
     /// Pass B reads `scores`/`ctxs` through this count after the chunk
     /// workers have finished.
     groups: usize,
-    /// Regularized k-vs-all: pre-norm interaction contexts (`kdim` per
-    /// query) — the batch-norm backward recomputes `x̂` from these while
-    /// `ctxs` holds the post-norm post-dropout values the GEMMs consumed.
+    /// k-vs-all with batch norm: pre-norm interaction contexts (`kdim`
+    /// per query) — the moment reduction and the norm backward read `x`
+    /// from these while `ctxs` holds the post-norm post-dropout values the
+    /// GEMMs consumed. Unused when batch norm is off.
     raw_ctxs: Vec<f32>,
-    /// Regularized k-vs-all mask/row scratch, regenerated per query from
-    /// the counter RNG (`kdim` context/anchor buffers, `rel_row_len`
-    /// relation buffers, and a per-query gradient-contribution row).
+    /// k-vs-all input-dropout masks and masked rows of the current query.
+    inputs: InputMasks,
+    /// k-vs-all context-dropout mask of the current query (`kdim`).
     reg_mask: Vec<f32>,
-    reg_anchor_mask: Vec<f32>,
-    reg_rel_mask: Vec<f32>,
-    reg_anchor_row: Vec<f32>,
-    reg_rel_row: Vec<f32>,
+    /// k-vs-all: one query's masked anchor/relation-row contribution,
+    /// built here before it joins the shared accumulator row.
     reg_scratch: Vec<f32>,
 }
 
@@ -872,273 +864,36 @@ fn run_blocked_chunk(
 }
 
 // ---------------------------------------------------------------------------
-// k-vs-all path: full-softmax GEMM forward + GEMM-shaped backward.
+// k-vs-all path: input dropout → context build → batch norm → context
+// dropout → full-softmax GEMM forward, then the GEMM-shaped backward back
+// through the same stages. A stage that is switched off is an identity.
 // ---------------------------------------------------------------------------
 
-/// k-vs-all forward for one chunk of query groups: pack one anchor
-/// context per group, score all of them against the whole entity table in
-/// one cache-blocked GEMM, then take the softmax–cross-entropy residual
-/// of each score row in place (so `scores` holds `∂L/∂S` afterwards).
-fn run_kv_forward_chunk(
-    model: &MultiEmbedModel,
-    queries: &[KvQuery],
-    targets: &SortedTargets,
-    label_smooth: f32,
-    c: &mut BlockedChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    let ne = model.entities.num_items();
-    let entity_table = model.entities.as_slice();
-    c.loss = 0.0;
-    c.groups = queries.len();
-    let cn = queries.len() * kdim;
-    if c.ctxs.len() < cn {
-        c.ctxs.resize(cn, 0.0);
-    }
-    for (q, ctx) in queries.iter().zip(c.ctxs[..cn].chunks_mut(kdim)) {
-        match q.side {
-            Side::Tail => model.tail_context(q.anchor, q.relation, ctx),
-            Side::Head => model.head_context(q.anchor, q.relation, ctx),
-        }
-    }
-    let sn = queries.len() * ne;
-    if c.scores.len() < sn {
-        c.scores.resize(sn, 0.0);
-    }
-    gemm_nt(&c.ctxs[..cn], entity_table, kdim, &mut c.scores[..sn]);
-    for (g, q) in queries.iter().enumerate() {
-        let t = match q.side {
-            Side::Tail => targets.tails_of(q.anchor, q.relation),
-            Side::Head => targets.heads_of(q.anchor, q.relation),
-        };
-        c.loss += softmax_ce_residual(&mut c.scores[g * ne..(g + 1) * ne], t, label_smooth);
-    }
+/// Per-query input-dropout scratch: the anchor/relation masks and the
+/// masked rows built from them. The forward (context build) and the
+/// backward (scatter) each regenerate a query's masks from the counter
+/// RNG instead of storing them.
+#[derive(Default)]
+struct InputMasks {
+    anchor: Vec<f32>,
+    rel: Vec<f32>,
+    anchor_row: Vec<f32>,
+    rel_row: Vec<f32>,
 }
 
-/// k-vs-all sparse backward for one chunk: pass A collapses each group's
-/// residual row into a residual-weighted entity sum with one GEMM
-/// (`gctx_g = Σ_e r_{g,e}·E_e`), then the shared scatter core accumulates
-/// the anchor, relation, and ω gradients. The dense entity-table gradient
-/// (pass B) crosses chunks and runs afterwards in
-/// `GradWorkspace::scatter_kv_dense`.
-fn run_kv_backward_chunk(
-    model: &MultiEmbedModel,
-    queries: &[KvQuery],
-    l2_coef: f32,
-    n3: usize,
-    epoch: u32,
-    c: &mut BlockedChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    let ne = model.entities.num_items();
-    let entity_table = model.entities.as_slice();
-    c.ent_keys.clear();
-    c.rel_keys.clear();
-    if c.omega.len() == n3 {
-        c.omega.fill(0.0);
-    } else {
-        c.omega = vec![0.0; n3];
-    }
-    let cn = queries.len() * kdim;
-    if c.gctx.len() < cn {
-        c.gctx.resize(cn, 0.0);
-    }
-    c.gctx[..cn].fill(0.0);
-    gemm_nn_acc(&c.scores[..queries.len() * ne], entity_table, kdim, &mut c.gctx[..cn]);
-    let BlockedChunk { ent, rel, ent_keys, rel_keys, ent_slab, rel_slab, omega, gctx, .. } = c;
-    let mut sink = BlockedSink { epoch, ent, ent_keys, ent_slab, rel, rel_keys, rel_slab, omega };
-    for (g, &q) in queries.iter().enumerate() {
-        accumulate_group_backward(model, q, &gctx[g * kdim..(g + 1) * kdim], l2_coef, &mut sink);
-    }
-}
-
-/// Accumulates one k-vs-all query group's anchor-row, relation-row, and ω
-/// gradients into `sink`, given the group's residual-weighted entity sum
-/// `gctx` — which plays exactly the role the candidate embedding plays in
-/// [`accumulate_example`], since the score is linear in the candidate
-/// slot. The candidate-side gradient itself is dense over the entity
-/// table and is handled by the pass-B GEMM; only the anchor and relation
-/// rows take an L2 pull here (one per group touch), so pass B stays a
-/// clean GEMM — matching the exemplar regime of no candidate-side
-/// regularization.
-fn accumulate_group_backward<S: GradSink>(
-    model: &MultiEmbedModel,
-    q: KvQuery,
-    gctx: &[f32],
-    l2_coef: f32,
-    sink: &mut S,
-) {
-    let d = model.config().dim;
-    let ent_row_len = model.entities.row_len();
-    let rel_row_len = model.relations.row_len();
-    let a = model.entities.row(q.anchor.idx());
-    let r = model.relations.row(q.relation.idx());
-
-    // Anchor row: same fresh-row write-mode scheme as `accumulate_example`
-    // with the residual sum standing in for the candidate operand.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Entity(q.anchor.idx()), ent_row_len);
-        let n_sub = ent_row_len / d;
-        let mut written: u64 = if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
-        for &(i, j, k, w) in model.terms() {
-            if w == 0.0 {
-                continue;
-            }
-            let (sub, b_row) = match q.side {
-                // ∂L/∂h⁽ⁱ⁾ = Σ_{j,k} ω·(Σ_e r_e·t_e⁽ʲ⁾)⊙r⁽ᵏ⁾
-                Side::Tail => (i, &gctx[j * d..(j + 1) * d]),
-                // ∂L/∂t⁽ʲ⁾ = Σ_{i,k} ω·(Σ_e r_e·h_e⁽ⁱ⁾)⊙r⁽ᵏ⁾
-                Side::Head => (j, &gctx[i * d..(i + 1) * d]),
-            };
-            let rk = &r[k * d..(k + 1) * d];
-            let out = &mut entry[sub * d..(sub + 1) * d];
-            if written & (1 << sub) == 0 {
-                written |= 1 << sub;
-                hadamard_write_fast(w, b_row, rk, out);
-            } else {
-                hadamard_axpy_fast(w, b_row, rk, out);
-            }
-        }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, a, entry);
-        } else {
-            axpy_l2(entry, l2_coef, a);
-        }
-    }
-
-    // Relation row, keyed on `k` like `accumulate_example`.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Relation(q.relation.idx()), rel_row_len);
-        let n_sub = rel_row_len / d;
-        let mut written: u64 = if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
-        for &(i, j, k, w) in model.terms() {
-            if w == 0.0 {
-                continue;
-            }
-            // Tail: ∂L/∂r⁽ᵏ⁾ = Σ_{i,j} ω·h⁽ⁱ⁾⊙(Σ_e r_e·t_e⁽ʲ⁾);
-            // Head: the anchor fills the tail slot and the sum runs over
-            // candidate heads.
-            let (a_row, b_row) = match q.side {
-                Side::Tail => (&a[i * d..(i + 1) * d], &gctx[j * d..(j + 1) * d]),
-                Side::Head => (&gctx[i * d..(i + 1) * d], &a[j * d..(j + 1) * d]),
-            };
-            let out = &mut entry[k * d..(k + 1) * d];
-            if written & (1 << k) == 0 {
-                written |= 1 << k;
-                hadamard_write_fast(w, a_row, b_row, out);
-            } else {
-                hadamard_axpy_fast(w, a_row, b_row, out);
-            }
-        }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, r, entry);
-        } else {
-            axpy_l2(entry, l2_coef, r);
-        }
-    }
-
-    // ω: ∂L/∂ω_ijk = Σ_e r_e·⟨…⟩ — the trilinear form is linear in the
-    // candidate slot, so the residual sum slides inside it.
-    if model.trainable_omega() {
-        let n = model.config().n;
-        let nr = model.omega().n_rel();
-        let omega = sink.omega_mut();
-        for &(i, j, k, _) in model.terms() {
-            let tri = match q.side {
-                Side::Tail => trilinear_fast(
-                    &a[i * d..(i + 1) * d],
-                    &gctx[j * d..(j + 1) * d],
-                    &r[k * d..(k + 1) * d],
-                ),
-                Side::Head => trilinear_fast(
-                    &gctx[i * d..(i + 1) * d],
-                    &a[j * d..(j + 1) * d],
-                    &r[k * d..(k + 1) * d],
-                ),
-            };
-            omega[(i * n + j) * nr + k] += tri;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Regularized k-vs-all path: input dropout → batch norm → context dropout.
-// ---------------------------------------------------------------------------
-
-/// Phase F1 of the regularized k-vs-all batch: build each query's raw
-/// (pre-norm) interaction context from input-dropout-masked anchor and
-/// relation rows. Masks are regenerated from the counter RNG keyed by the
-/// query's batch-wide index (`base + g`), so the backward can rebuild them
-/// exactly.
-fn run_kv_reg_input_chunk(
-    model: &MultiEmbedModel,
-    queries: &[KvQuery],
-    reg: &KvRegConfig,
-    base: usize,
-    c: &mut BlockedChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    let rel_row_len = model.relations.row_len();
-    c.groups = queries.len();
-    let cn = queries.len() * kdim;
-    if c.raw_ctxs.len() < cn {
-        c.raw_ctxs.resize(cn, 0.0);
-    }
-    let use_input = reg.input_dropout > 0.0;
-    if use_input {
-        c.reg_anchor_mask.resize(kdim, 0.0);
-        c.reg_rel_mask.resize(rel_row_len, 0.0);
-        c.reg_anchor_row.resize(kdim, 0.0);
-        c.reg_rel_row.resize(rel_row_len, 0.0);
-    }
-    let BlockedChunk { raw_ctxs, reg_anchor_mask, reg_rel_mask, reg_anchor_row, reg_rel_row, .. } =
-        c;
-    for (g, q) in queries.iter().enumerate() {
-        let ctx = &mut raw_ctxs[g * kdim..(g + 1) * kdim];
-        let a = model.entities.row(q.anchor.idx());
-        let r = model.relations.row(q.relation.idx());
-        let (a_row, r_row): (&[f32], &[f32]) = if use_input {
-            let gi = (base + g) as u64;
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_ANCHOR),
-                reg.input_dropout,
-                reg_anchor_mask,
-            );
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_REL),
-                reg.input_dropout,
-                reg_rel_mask,
-            );
-            apply_mask_into(a, reg_anchor_mask, reg_anchor_row);
-            apply_mask_into(r, reg_rel_mask, reg_rel_row);
-            (reg_anchor_row, reg_rel_row)
-        } else {
-            (a, r)
-        };
-        match q.side {
-            Side::Tail => model.tail_context_from_rows(a_row, r_row, ctx),
-            Side::Head => model.head_context_from_rows(a_row, r_row, ctx),
-        }
+impl InputMasks {
+    /// Regenerates the masks of the query at batch-wide index `gi` and
+    /// applies them to its raw anchor row `a` and relation row `r`.
+    fn apply(&mut self, reg: &KvRegConfig, gi: u64, a: &[f32], r: &[f32]) {
+        self.anchor.resize(a.len(), 0.0);
+        self.rel.resize(r.len(), 0.0);
+        self.anchor_row.resize(a.len(), 0.0);
+        self.rel_row.resize(r.len(), 0.0);
+        let p = reg.input_dropout;
+        fill_dropout_mask(mask_stream_base(reg.mask_seed, gi, MASK_STREAM_ANCHOR), p, &mut self.anchor);
+        fill_dropout_mask(mask_stream_base(reg.mask_seed, gi, MASK_STREAM_REL), p, &mut self.rel);
+        apply_mask_into(a, &self.anchor, &mut self.anchor_row);
+        apply_mask_into(r, &self.rel, &mut self.rel_row);
     }
 }
 
@@ -1150,18 +905,50 @@ type BnForward<'a> = (&'a [f32], &'a [f32], &'a [f32], &'a [f32]);
 /// `(batch mean, batch inverse std, γ, Σgβ/Q, Σgγ/Q)`, each `kdim` long.
 type BnBackward<'a> = (&'a [f32], &'a [f32], &'a [f32], &'a [f32], &'a [f32]);
 
-/// A query's effective anchor/relation inputs after optional input
-/// dropout: `(anchor row, relation row, anchor mask, relation mask)` —
-/// the masks are `None` when input dropout is off.
-type MaskedInputs<'a> = (&'a [f32], &'a [f32], Option<&'a [f32]>, Option<&'a [f32]>);
+/// Phase F1: build each query's interaction context from its anchor and
+/// relation rows — input-dropout-masked when that stage is on, raw
+/// otherwise. With batch norm on the contexts land in `raw_ctxs`, which
+/// the moment reduction and the norm backward read; otherwise they go
+/// straight into `ctxs`, the forward GEMM's operand. Masks are keyed by
+/// the query's batch-wide index (`base + g`), so the backward rebuilds
+/// them exactly.
+fn kv_contexts_chunk(
+    model: &MultiEmbedModel,
+    queries: &[KvQuery],
+    reg: &KvRegConfig,
+    base: usize,
+    c: &mut BlockedChunk,
+) {
+    let kdim = model.config().n * model.config().dim;
+    let cn = queries.len() * kdim;
+    c.groups = queries.len();
+    let BlockedChunk { ctxs, raw_ctxs, inputs, .. } = c;
+    let out = if reg.batch_norm { raw_ctxs } else { ctxs };
+    if out.len() < cn {
+        out.resize(cn, 0.0);
+    }
+    for (g, (q, ctx)) in queries.iter().zip(out[..cn].chunks_mut(kdim)).enumerate() {
+        let (mut a, mut r) = (model.entities.row(q.anchor.idx()), model.relations.row(q.relation.idx()));
+        if reg.input_dropout > 0.0 {
+            inputs.apply(reg, (base + g) as u64, a, r);
+            (a, r) = (&inputs.anchor_row[..], &inputs.rel_row[..]);
+        }
+        match q.side {
+            Side::Tail => model.tail_context_from_rows(a, r, ctx),
+            Side::Head => model.head_context_from_rows(a, r, ctx),
+        }
+    }
+}
 
-/// Phase F2: normalize each raw context with the **batch** statistics
-/// (training-mode batch norm), apply context dropout, then run the plain
-/// path's score GEMM + softmax residual. Afterwards `ctxs` holds `z̃` —
-/// the exact operand of the forward GEMM — so pass B's candidate-gradient
-/// GEMM (`residualᵀ·ctxs`) is correct without change.
+/// Phase F2: normalize each context with the **batch** statistics (when
+/// batch norm is on), apply context dropout (when on), then score every
+/// context against the whole entity table in one cache-blocked GEMM and
+/// take the softmax–cross-entropy residual of each score row in place.
+/// Afterwards `ctxs` holds the exact operand of the forward GEMM — so
+/// pass B's candidate-gradient GEMM (`residualᵀ·ctxs`) needs no change —
+/// and `scores` holds `∂L/∂S`.
 #[allow(clippy::too_many_arguments)]
-fn run_kv_reg_forward_chunk(
+fn kv_scores_chunk(
     model: &MultiEmbedModel,
     queries: &[KvQuery],
     targets: &SortedTargets,
@@ -1182,12 +969,12 @@ fn run_kv_reg_forward_chunk(
     if reg.dropout > 0.0 {
         c.reg_mask.resize(kdim, 0.0);
     }
-    {
+    if bn.is_some() || reg.dropout > 0.0 {
         let BlockedChunk { ctxs, raw_ctxs, reg_mask, .. } = &mut *c;
         for g in 0..queries.len() {
             let ctx = &mut ctxs[g * kdim..(g + 1) * kdim];
-            ctx.copy_from_slice(&raw_ctxs[g * kdim..(g + 1) * kdim]);
             if let Some((mean, istd, gamma, beta)) = bn {
+                ctx.copy_from_slice(&raw_ctxs[g * kdim..(g + 1) * kdim]);
                 bn_apply(ctx, mean, istd, gamma, beta);
             }
             if reg.dropout > 0.0 {
@@ -1214,11 +1001,12 @@ fn run_kv_reg_forward_chunk(
     }
 }
 
-/// Phase B1: the residual-collapse GEMM (`gctx_g = Σ_e r_{g,e}·E_e`,
-/// identical to the plain backward), followed by the context-dropout
-/// backward — the same mask the forward applied, regenerated and applied
-/// to the context gradient, leaving `gctx = ∂L/∂y` (the norm output).
-fn run_kv_reg_backward_gemm_chunk(
+/// Phase B1: pass A collapses each query's residual row into a
+/// residual-weighted entity sum with one GEMM (`gctx_g = Σ_e r_{g,e}·E_e`),
+/// then the context-dropout backward (when on) applies the forward's
+/// regenerated mask, leaving `gctx = ∂L/∂y` — the gradient at the norm
+/// output, or at the context itself when batch norm is off.
+fn kv_context_grads_chunk(
     model: &MultiEmbedModel,
     queries: &[KvQuery],
     reg: &KvRegConfig,
@@ -1247,12 +1035,14 @@ fn run_kv_reg_backward_gemm_chunk(
     }
 }
 
-/// Phase B2: finish the per-query backward — batch-norm input gradient in
-/// place on `gctx` (using the sequentially reduced `gβ/Q`, `gγ/Q`), then
-/// the sparse anchor/relation/ω scatter with the query's regenerated
-/// input masks.
+/// Phase B2: finish each query's backward — the batch-norm input
+/// gradient in place on `gctx` (when on, using the sequentially reduced
+/// `gβ/Q`, `gγ/Q`), then the sparse anchor/relation/ω scatter with the
+/// query's regenerated input masks (when on). The dense entity-table
+/// gradient (pass B) crosses chunks and runs afterwards in
+/// `GradWorkspace::scatter_kv_dense`.
 #[allow(clippy::too_many_arguments)]
-fn run_kv_reg_scatter_chunk(
+fn kv_scatter_chunk(
     model: &MultiEmbedModel,
     queries: &[KvQuery],
     l2_coef: f32,
@@ -1264,7 +1054,6 @@ fn run_kv_reg_scatter_chunk(
     c: &mut BlockedChunk,
 ) {
     let kdim = model.config().n * model.config().dim;
-    let rel_row_len = model.relations.row_len();
     c.ent_keys.clear();
     c.rel_keys.clear();
     if c.omega.len() == n3 {
@@ -1272,195 +1061,154 @@ fn run_kv_reg_scatter_chunk(
     } else {
         c.omega = vec![0.0; n3];
     }
-    let use_input = reg.input_dropout > 0.0;
-    if use_input {
-        c.reg_anchor_mask.resize(kdim, 0.0);
-        c.reg_rel_mask.resize(rel_row_len, 0.0);
-        c.reg_anchor_row.resize(kdim, 0.0);
-        c.reg_rel_row.resize(rel_row_len, 0.0);
-    }
     let BlockedChunk {
-        ent,
-        rel,
-        ent_keys,
-        rel_keys,
-        ent_slab,
-        rel_slab,
-        omega,
-        gctx,
-        raw_ctxs,
-        reg_anchor_mask,
-        reg_rel_mask,
-        reg_anchor_row,
-        reg_rel_row,
-        reg_scratch,
-        ..
+        ent, rel, ent_keys, rel_keys, ent_slab, rel_slab, omega, gctx, raw_ctxs, inputs, reg_scratch, ..
     } = c;
     let mut sink = BlockedSink { epoch, ent, ent_keys, ent_slab, rel, rel_keys, rel_slab, omega };
     for (g, &q) in queries.iter().enumerate() {
         let gctx_row = &mut gctx[g * kdim..(g + 1) * kdim];
         if let Some((mean, istd, gamma, gb_q, gg_q)) = bn {
-            bn_backward_row(
-                gctx_row,
-                &raw_ctxs[g * kdim..(g + 1) * kdim],
-                mean,
-                istd,
-                gamma,
-                gb_q,
-                gg_q,
-            );
+            bn_backward_row(gctx_row, &raw_ctxs[g * kdim..(g + 1) * kdim], mean, istd, gamma, gb_q, gg_q);
         }
-        let a = model.entities.row(q.anchor.idx());
-        let r = model.relations.row(q.relation.idx());
-        let (a_used, r_used, a_mask, r_mask): MaskedInputs<'_> = if use_input {
-            let gi = (base + g) as u64;
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_ANCHOR),
-                reg.input_dropout,
-                reg_anchor_mask,
-            );
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_REL),
-                reg.input_dropout,
-                reg_rel_mask,
-            );
-            apply_mask_into(a, reg_anchor_mask, reg_anchor_row);
-            apply_mask_into(r, reg_rel_mask, reg_rel_row);
-            (&*reg_anchor_row, &*reg_rel_row, Some(&**reg_anchor_mask), Some(&**reg_rel_mask))
+        let masked = if reg.input_dropout > 0.0 {
+            let (a, r) = (model.entities.row(q.anchor.idx()), model.relations.row(q.relation.idx()));
+            inputs.apply(reg, (base + g) as u64, a, r);
+            Some(&*inputs)
         } else {
-            (a, r, None, None)
+            None
         };
-        accumulate_group_backward_reg(
-            model,
-            q,
-            gctx_row,
-            l2_coef,
-            a_used,
-            r_used,
-            a_mask,
-            r_mask,
-            reg_scratch,
-            &mut sink,
-        );
+        accumulate_query_grads(model, q, gctx_row, l2_coef, masked, reg_scratch, &mut sink);
     }
 }
 
-/// The regularized analogue of [`accumulate_group_backward`]. The
-/// difference: the forward consumed *masked* anchor/relation rows, so
-/// every backward operand that was an embedding row in the plain path is
-/// the masked row here (`a_used`, `r_used`), and the chain rule through
-/// the input dropout multiplies each row gradient by the query's own mask
-/// before it joins the shared accumulator — which is why the contribution
-/// is built in `scratch` first (the accumulator may already hold other
-/// queries' contributions under *their* masks). L2 still pulls on the raw
-/// rows: weight decay regularizes parameters, not their dropped views.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_group_backward_reg<S: GradSink>(
+/// Accumulates one k-vs-all query's anchor-row, relation-row, and ω
+/// gradients into `sink`, given its context gradient `gctx` — which plays
+/// exactly the role the candidate embedding plays in
+/// [`accumulate_example`], since the score is linear in the candidate
+/// slot. `masked` carries the query's input masks and masked rows when
+/// input dropout is on: the forward consumed those rows, so they replace
+/// the raw rows as backward operands. The candidate-side gradient itself
+/// is dense over the entity table and is handled by the pass-B GEMM; only
+/// the anchor and relation rows take an L2 pull here (one per query), so
+/// pass B stays a clean GEMM — matching the exemplar regime of no
+/// candidate-side regularization.
+fn accumulate_query_grads(
     model: &MultiEmbedModel,
     q: KvQuery,
     gctx: &[f32],
     l2_coef: f32,
-    a_used: &[f32],
-    r_used: &[f32],
-    a_mask: Option<&[f32]>,
-    r_mask: Option<&[f32]>,
+    masked: Option<&InputMasks>,
     scratch: &mut Vec<f32>,
-    sink: &mut S,
+    sink: &mut BlockedSink<'_>,
 ) {
     let d = model.config().dim;
-    let ent_row_len = model.entities.row_len();
-    let rel_row_len = model.relations.row_len();
     let a_raw = model.entities.row(q.anchor.idx());
     let r_raw = model.relations.row(q.relation.idx());
+    let (a, r) = match masked {
+        Some(m) => (&m.anchor_row[..], &m.rel_row[..]),
+        None => (a_raw, r_raw),
+    };
 
-    // Anchor row.
-    {
-        scratch.resize(ent_row_len.max(rel_row_len), 0.0);
-        let contrib = &mut scratch[..ent_row_len];
-        contrib.fill(0.0);
+    let anchor_mask = masked.map(|m| &m.anchor[..]);
+    scatter_query_row(sink, RowKey::Entity(q.anchor.idx()), d, a_raw, l2_coef, anchor_mask, scratch, |row| {
         for &(i, j, k, w) in model.terms() {
             if w == 0.0 {
                 continue;
             }
-            let (sub, b_row) = match q.side {
-                Side::Tail => (i, &gctx[j * d..(j + 1) * d]),
-                Side::Head => (j, &gctx[i * d..(i + 1) * d]),
-            };
-            let rk = &r_used[k * d..(k + 1) * d];
-            hadamard_axpy_fast(w, b_row, rk, &mut contrib[sub * d..(sub + 1) * d]);
-        }
-        if let Some(mask) = a_mask {
-            apply_mask_in_place(contrib, mask);
-        }
-        let (entry, fresh) = sink.row_mut(RowKey::Entity(q.anchor.idx()), ent_row_len);
-        if fresh {
-            entry.copy_from_slice(contrib);
-        } else {
-            for (acc, g) in entry.iter_mut().zip(contrib.iter()) {
-                *acc += *g;
+            let rk = &r[k * d..(k + 1) * d];
+            match q.side {
+                // ∂L/∂h⁽ⁱ⁾ = Σ_{j,k} ω·(Σ_e r_e·t_e⁽ʲ⁾)⊙r⁽ᵏ⁾
+                Side::Tail => row.add(i, w, &gctx[j * d..(j + 1) * d], rk),
+                // ∂L/∂t⁽ʲ⁾ = Σ_{i,k} ω·(Σ_e r_e·h_e⁽ⁱ⁾)⊙r⁽ᵏ⁾
+                Side::Head => row.add(j, w, &gctx[i * d..(i + 1) * d], rk),
             }
         }
-        if S::FAST {
-            axpy_fast(l2_coef, a_raw, entry);
-        } else {
-            axpy_l2(entry, l2_coef, a_raw);
-        }
-    }
+    });
 
-    // Relation row.
-    {
-        let contrib = &mut scratch[..rel_row_len];
-        contrib.fill(0.0);
+    // Relation row, keyed on `k`. Tail: ∂L/∂r⁽ᵏ⁾ = Σ_{i,j} ω·h⁽ⁱ⁾⊙(Σ_e
+    // r_e·t_e⁽ʲ⁾); head: the anchor fills the tail slot and the sum runs
+    // over candidate heads.
+    let rel_mask = masked.map(|m| &m.rel[..]);
+    scatter_query_row(sink, RowKey::Relation(q.relation.idx()), d, r_raw, l2_coef, rel_mask, scratch, |row| {
         for &(i, j, k, w) in model.terms() {
             if w == 0.0 {
                 continue;
             }
-            let (a_row, b_row) = match q.side {
-                Side::Tail => (&a_used[i * d..(i + 1) * d], &gctx[j * d..(j + 1) * d]),
-                Side::Head => (&gctx[i * d..(i + 1) * d], &a_used[j * d..(j + 1) * d]),
-            };
-            hadamard_axpy_fast(w, a_row, b_row, &mut contrib[k * d..(k + 1) * d]);
-        }
-        if let Some(mask) = r_mask {
-            apply_mask_in_place(contrib, mask);
-        }
-        let (entry, fresh) = sink.row_mut(RowKey::Relation(q.relation.idx()), rel_row_len);
-        if fresh {
-            entry.copy_from_slice(contrib);
-        } else {
-            for (acc, g) in entry.iter_mut().zip(contrib.iter()) {
-                *acc += *g;
+            match q.side {
+                Side::Tail => row.add(k, w, &a[i * d..(i + 1) * d], &gctx[j * d..(j + 1) * d]),
+                Side::Head => row.add(k, w, &gctx[i * d..(i + 1) * d], &a[j * d..(j + 1) * d]),
             }
         }
-        if S::FAST {
-            axpy_fast(l2_coef, r_raw, entry);
-        } else {
-            axpy_l2(entry, l2_coef, r_raw);
-        }
-    }
+    });
 
-    // ω: the forward used the masked rows, so the trilinear operands do
-    // too (ω itself is never dropped).
+    // ω: ∂L/∂ω_ijk = Σ_e r_e·⟨…⟩ — the trilinear form is linear in the
+    // candidate slot, so the residual sum slides inside it (ω itself is
+    // never dropped).
     if model.trainable_omega() {
         let n = model.config().n;
         let nr = model.omega().n_rel();
         let omega = sink.omega_mut();
         for &(i, j, k, _) in model.terms() {
+            let rk = &r[k * d..(k + 1) * d];
             let tri = match q.side {
-                Side::Tail => trilinear_fast(
-                    &a_used[i * d..(i + 1) * d],
-                    &gctx[j * d..(j + 1) * d],
-                    &r_used[k * d..(k + 1) * d],
-                ),
-                Side::Head => trilinear_fast(
-                    &gctx[i * d..(i + 1) * d],
-                    &a_used[j * d..(j + 1) * d],
-                    &r_used[k * d..(k + 1) * d],
-                ),
+                Side::Tail => trilinear_fast(&a[i * d..(i + 1) * d], &gctx[j * d..(j + 1) * d], rk),
+                Side::Head => trilinear_fast(&gctx[i * d..(i + 1) * d], &a[j * d..(j + 1) * d], rk),
             };
             omega[(i * n + j) * nr + k] += tri;
         }
     }
+}
+
+/// Adds one query's anchor- or relation-row gradient — the terms `fill`
+/// emits — to the accumulator row `key`, then the L2 pull on the raw
+/// parameters `params` (weight decay regularizes parameters, not their
+/// dropped views).
+///
+/// Without an input mask the terms accumulate straight into the row
+/// through [`TermRow`] (write form on a fresh row), the same per-element
+/// sequence as the negative-sampling blocked path. With one, the chain
+/// rule through the input dropout scales the whole contribution by this
+/// query's mask while the row may already hold other queries'
+/// contributions under *their* masks, so the contribution is built in
+/// `scratch`, masked, and added as a whole.
+#[allow(clippy::too_many_arguments)]
+fn scatter_query_row(
+    sink: &mut BlockedSink<'_>,
+    key: RowKey,
+    d: usize,
+    params: &[f32],
+    l2_coef: f32,
+    mask: Option<&[f32]>,
+    scratch: &mut Vec<f32>,
+    fill: impl FnOnce(&mut TermRow<'_>),
+) {
+    let len = params.len();
+    let (entry, fresh) = sink.row_mut(key, len);
+    let entry = match mask {
+        None => {
+            let mut row = TermRow::begin(entry, fresh, true, d);
+            fill(&mut row);
+            row.finish()
+        }
+        Some(mask) => {
+            if scratch.len() < len {
+                scratch.resize(len, 0.0);
+            }
+            let mut row = TermRow::begin(&mut scratch[..len], true, false, d);
+            fill(&mut row);
+            let contrib = row.finish();
+            apply_mask_in_place(contrib, mask);
+            if fresh {
+                entry.copy_from_slice(contrib);
+            } else {
+                for (acc, g) in entry.iter_mut().zip(contrib.iter()) {
+                    *acc += *g;
+                }
+            }
+            entry
+        }
+    };
+    axpy_fast(l2_coef, params, entry);
 }
 
 // ---------------------------------------------------------------------------
@@ -1501,7 +1249,7 @@ pub struct GradWorkspace {
     kv_mode: bool,
     kv_entities: usize,
     kv_dense: Vec<f32>,
-    // Regularized k-vs-all: batch-norm statistics and γ/β gradients.
+    // k-vs-all batch norm: batch statistics and γ/β gradients.
     // Moments and grad sums reduce in f64 (sequential over chunks in
     // chunk order → thread-count independent), then round once to f32.
     reg_sum: Vec<f64>,
@@ -1600,27 +1348,26 @@ impl GradWorkspace {
     ) -> f64 {
         assert!(group_len >= 1, "group_len must be at least 1");
         let n3 = model.omega().dense().len();
-        self.kv_mode = false;
-        self.ent_row_len = model.entities.row_len();
-        self.rel_row_len = model.relations.row_len();
-        if self.epoch == u32::MAX {
-            for c in &mut self.blocked {
-                c.ent.reset();
-                c.rel.reset();
-            }
-            self.g_ent.reset();
-            self.g_rel.reset();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-
-        let chunk = chunk_len(examples.len(), group_len);
-        let nchunks = examples.len().div_ceil(chunk.max(1));
+        let (chunk, nchunks) = self.begin_batch(model, examples.len(), group_len, false);
+        let threads = self.threads;
 
         let span = timing.is_some().then(Instant::now);
         match self.path {
-            GradPath::Legacy => self.compute_legacy_chunks(model, examples, chunk, nchunks, group_len, l2_coef, loss_kind, n3),
-            GradPath::Blocked => self.compute_blocked_chunks(model, examples, chunk, nchunks, group_len, l2_coef, loss_kind, n3),
+            GradPath::Legacy => {
+                self.recycle_legacy_rows();
+                while self.legacy.len() < nchunks {
+                    self.legacy.push(LegacyChunk::default());
+                }
+                run_chunked(examples, chunk, &mut self.legacy[..nchunks], threads, |ex_chunk, c, _| {
+                    run_legacy_chunk(model, ex_chunk, group_len, l2_coef, loss_kind, n3, c)
+                });
+            }
+            GradPath::Blocked => {
+                let epoch = self.epoch;
+                run_chunked(examples, chunk, &mut self.blocked[..nchunks], threads, |ex_chunk, c, _| {
+                    run_blocked_chunk(model, ex_chunk, group_len, l2_coef, loss_kind, n3, epoch, c)
+                });
+            }
         }
         if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
             ph.forward += t0.elapsed().as_secs_f64();
@@ -1637,89 +1384,20 @@ impl GradWorkspace {
         self.loss
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn compute_legacy_chunks(
+    /// Per-batch setup shared by every compute entry: records the mode
+    /// and row shapes, advances the slot-map epoch (re-zeroing every
+    /// stamp before it would wrap), derives the shape-only schedule for
+    /// `items` split at `group_len` boundaries, and — on the slab paths
+    /// (blocked and k-vs-all) — sizes the per-chunk scratch and slot
+    /// maps. Returns `(chunk, nchunks)`.
+    fn begin_batch(
         &mut self,
         model: &MultiEmbedModel,
-        examples: &[(Triple, Label)],
-        chunk: usize,
-        nchunks: usize,
+        items: usize,
         group_len: usize,
-        l2_coef: f32,
-        loss_kind: LossKind,
-        n3: usize,
-    ) {
-        self.recycle_legacy_rows();
-        while self.legacy.len() < nchunks {
-            self.legacy.push(LegacyChunk::default());
-        }
-        let used = &mut self.legacy[..nchunks];
-        run_chunked(examples, chunk, used, self.threads, |ex_chunk, c| {
-            run_legacy_chunk(model, ex_chunk, group_len, l2_coef, loss_kind, n3, c)
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compute_blocked_chunks(
-        &mut self,
-        model: &MultiEmbedModel,
-        examples: &[(Triple, Label)],
-        chunk: usize,
-        nchunks: usize,
-        group_len: usize,
-        l2_coef: f32,
-        loss_kind: LossKind,
-        n3: usize,
-    ) {
-        while self.blocked.len() < nchunks {
-            self.blocked.push(BlockedChunk::default());
-        }
-        let num_entities = model.entities.num_items();
-        let num_relations = model.relations.num_items();
-        self.g_ent.ensure(num_entities);
-        self.g_rel.ensure(num_relations);
-        let epoch = self.epoch;
-        let used = &mut self.blocked[..nchunks];
-        for c in used.iter_mut() {
-            c.ent.ensure(num_entities);
-            c.rel.ensure(num_relations);
-        }
-        run_chunked(examples, chunk, used, self.threads, |ex_chunk, c| {
-            run_blocked_chunk(model, ex_chunk, group_len, l2_coef, loss_kind, n3, epoch, c)
-        });
-    }
-
-    /// Computes the k-vs-all (full-softmax) gradients for a batch of
-    /// query groups, replacing the previous batch's results, and returns
-    /// the total loss.
-    ///
-    /// Each query is scored against every entity; `targets` supplies the
-    /// ascending per-`(anchor, relation)` true-candidate sets (build them
-    /// from the **train** store — using the all-splits filter store would
-    /// leak validation/test triples into the loss). Gradients afterwards
-    /// live in a *dense* entity-table slab (full softmax touches every
-    /// entity row) plus the usual sparse relation slab; read them through
-    /// [`GradWorkspace::for_each_row`] / [`GradWorkspace::row`], or hand
-    /// the workspace to the dense fused step. `self.path` is not
-    /// consulted — k-vs-all has exactly one implementation.
-    ///
-    /// When `timing` is given, the GEMM forward + softmax is added to
-    /// `phases.forward`, both backward GEMM passes and the sparse scatter
-    /// to `phases.backward`, and the chunk merge + anchor fold to
-    /// `phases.merge`.
-    pub fn compute_kvsall(
-        &mut self,
-        model: &MultiEmbedModel,
-        queries: &[KvQuery],
-        targets: &SortedTargets,
-        l2_coef: f32,
-        label_smooth: f32,
-        mut timing: Option<&mut PhaseBreakdown>,
-    ) -> f64 {
-        assert!(!queries.is_empty(), "kvsall batch must contain at least one query");
-        let n3 = model.omega().dense().len();
-        self.kv_mode = true;
-        self.kv_entities = model.entities.num_items();
+        kv_mode: bool,
+    ) -> (usize, usize) {
+        self.kv_mode = kv_mode;
         self.ent_row_len = model.entities.row_len();
         self.rel_row_len = model.relations.row_len();
         if self.epoch == u32::MAX {
@@ -1733,73 +1411,66 @@ impl GradWorkspace {
         }
         self.epoch += 1;
 
-        // Same shape-derived schedule as the negative-sampling paths,
-        // with a query group as the scheduling unit.
-        let chunk = chunk_len(queries.len(), 1);
-        let nchunks = queries.len().div_ceil(chunk.max(1));
-        while self.blocked.len() < nchunks {
-            self.blocked.push(BlockedChunk::default());
+        let chunk = chunk_len(items, group_len);
+        let nchunks = items.div_ceil(chunk.max(1));
+        if kv_mode || self.path == GradPath::Blocked {
+            while self.blocked.len() < nchunks {
+                self.blocked.push(BlockedChunk::default());
+            }
+            let (num_entities, num_relations) = (model.entities.num_items(), model.relations.num_items());
+            self.g_ent.ensure(num_entities);
+            self.g_rel.ensure(num_relations);
+            for c in &mut self.blocked[..nchunks] {
+                c.ent.ensure(num_entities);
+                c.rel.ensure(num_relations);
+            }
         }
-        self.g_ent.ensure(self.kv_entities);
-        self.g_rel.ensure(model.relations.num_items());
-        for c in &mut self.blocked[..nchunks] {
-            c.ent.ensure(model.entities.num_items());
-            c.rel.ensure(model.relations.num_items());
-        }
-
-        let span = timing.is_some().then(Instant::now);
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked(queries, chunk, used, self.threads, |qs, c| {
-                run_kv_forward_chunk(model, qs, targets, label_smooth, c)
-            });
-        }
-        if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
-            ph.forward += t0.elapsed().as_secs_f64();
-        }
-
-        let span = timing.is_some().then(Instant::now);
-        let epoch = self.epoch;
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked(queries, chunk, used, self.threads, |qs, c| {
-                run_kv_backward_chunk(model, qs, l2_coef, n3, epoch, c)
-            });
-        }
-        self.scatter_kv_dense(nchunks);
-        if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
-            ph.backward += t0.elapsed().as_secs_f64();
-        }
-
-        let span = timing.is_some().then(Instant::now);
-        self.merge_blocked(nchunks, n3);
-        self.fold_anchors_into_dense();
-        if let (Some(t0), Some(ph)) = (span, timing.as_mut()) {
-            ph.merge += t0.elapsed().as_secs_f64();
-        }
-        self.loss
+        (chunk, nchunks)
     }
 
-    /// [`GradWorkspace::compute_kvsall`] with the training-stack
-    /// regularizers of `reg` applied: input dropout on anchor/relation
-    /// rows, batch norm (batch statistics) on the interaction contexts,
-    /// and context dropout before the score GEMM.
+    /// Computes the k-vs-all (full-softmax) gradients for a batch of
+    /// query groups, replacing the previous batch's results, and returns
+    /// the total loss. This is the only k-vs-all entry point; `self.path`
+    /// is not consulted.
     ///
-    /// The plain path is untouched: with all knobs off the trainer calls
-    /// [`GradWorkspace::compute_kvsall`], whose bytes this entry never
-    /// perturbs. Thread-count bit-identity carries over because every
-    /// mask is a counter-RNG function of the query's batch-wide index and
-    /// the batch-norm reductions (moments, `gβ`, `gγ`) run sequentially
-    /// over chunks in chunk order with f64 accumulators.
+    /// Each query is scored against every entity; `targets` supplies the
+    /// ascending per-`(anchor, relation)` true-candidate sets (build them
+    /// from the **train** store — using the all-splits filter store would
+    /// leak validation/test triples into the loss). Gradients afterwards
+    /// live in a *dense* entity-table slab (full softmax touches every
+    /// entity row) plus the usual sparse relation slab; read them through
+    /// [`GradWorkspace::for_each_row`] / [`GradWorkspace::row`], or hand
+    /// the workspace to the dense fused step.
     ///
-    /// When `reg.batch_norm` is set the model must carry an
-    /// [`crate::model::InteractionNorm`]; afterwards
+    /// `reg` selects the regularizer stages of the six-phase pipeline:
+    /// input dropout on the anchor/relation rows, batch norm (batch
+    /// statistics) on the interaction contexts, and context dropout
+    /// before the score GEMM. A stage that is off is an identity, so
+    /// [`KvRegConfig::default`] trains the plain k-vs-all objective.
+    /// Anchor/relation row gradients accumulate term by term straight
+    /// into the shared rows — write form on a fresh row — unless input
+    /// dropout is on; then each query's contribution is built in a
+    /// scratch row, scaled by its mask, and added as a whole.
+    ///
+    /// Thread-count bit-identity holds with any stage on: every mask is a
+    /// counter-RNG function of the query's batch-wide index, and the
+    /// batch-norm reductions (moments, `gβ`, `gγ`) run sequentially over
+    /// chunks in chunk order with f64 accumulators.
+    ///
+    /// The model carries an [`crate::model::InteractionNorm`] exactly
+    /// when `reg.batch_norm` is set (without batch norm the pipeline
+    /// would ignore a norm that eval applies). Afterwards
     /// [`GradWorkspace::reg_batch_stats`] exposes the batch mean/biased
     /// variance (for the trainer's running-stat update) and
     /// [`GradWorkspace::reg_norm_grads`] the summed γ/β gradients (for
     /// the optimizer step).
+    ///
+    /// When `timing` is given, the context build + score GEMM + softmax
+    /// is added to `phases.forward`, both backward GEMM passes and the
+    /// sparse scatter to `phases.backward`, and the chunk merge + anchor
+    /// fold to `phases.merge`.
     #[allow(clippy::too_many_arguments)]
-    pub fn compute_kvsall_reg(
+    pub fn compute_kvsall(
         &mut self,
         model: &MultiEmbedModel,
         queries: &[KvQuery],
@@ -1814,85 +1485,33 @@ impl GradWorkspace {
             !reg.batch_norm || model.interaction_norm().is_some(),
             "batch_norm requires the model to carry an interaction norm"
         );
+        assert!(
+            reg.batch_norm || model.interaction_norm().is_none(),
+            "a model carrying an interaction norm must train with batch_norm"
+        );
         let n3 = model.omega().dense().len();
-        let kdim = model.config().n * model.config().dim;
-        self.kv_mode = true;
+        // Same shape-derived schedule as the negative-sampling paths,
+        // with a query group as the scheduling unit.
+        let (chunk, nchunks) = self.begin_batch(model, queries.len(), 1, true);
         self.kv_entities = model.entities.num_items();
-        self.ent_row_len = model.entities.row_len();
-        self.rel_row_len = model.relations.row_len();
-        if self.epoch == u32::MAX {
-            for c in &mut self.blocked {
-                c.ent.reset();
-                c.rel.reset();
-            }
-            self.g_ent.reset();
-            self.g_rel.reset();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-
-        let chunk = chunk_len(queries.len(), 1);
-        let nchunks = queries.len().div_ceil(chunk.max(1));
-        while self.blocked.len() < nchunks {
-            self.blocked.push(BlockedChunk::default());
-        }
-        self.g_ent.ensure(self.kv_entities);
-        self.g_rel.ensure(model.relations.num_items());
-        for c in &mut self.blocked[..nchunks] {
-            c.ent.ensure(model.entities.num_items());
-            c.rel.ensure(model.relations.num_items());
-        }
         self.reg_queries = queries.len();
         let threads = self.threads;
+        let norm = model.interaction_norm().filter(|_| reg.batch_norm);
 
-        // F1 (parallel): masked-input raw contexts.
+        // F1 (parallel): contexts from the (masked) input rows.
         let span = timing.is_some().then(Instant::now);
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_input_chunk(model, qs, reg, base, c)
-            });
-        }
-
+        run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+            kv_contexts_chunk(model, qs, reg, base, c)
+        });
         // S1 (sequential, chunk order): f64 batch moments → mean/var/istd.
-        if reg.batch_norm {
-            self.reg_sum.clear();
-            self.reg_sum.resize(kdim, 0.0);
-            self.reg_sumsq.clear();
-            self.reg_sumsq.resize(kdim, 0.0);
-            self.reg_mean.resize(kdim, 0.0);
-            self.reg_var.resize(kdim, 0.0);
-            self.reg_istd.resize(kdim, 0.0);
-            for c in &self.blocked[..nchunks] {
-                for g in 0..c.groups {
-                    accumulate_moments(
-                        &c.raw_ctxs[g * kdim..(g + 1) * kdim],
-                        &mut self.reg_sum,
-                        &mut self.reg_sumsq,
-                    );
-                }
-            }
-            let eps = model.interaction_norm().expect("asserted above").eps;
-            finalize_moments(
-                &self.reg_sum,
-                &self.reg_sumsq,
-                queries.len(),
-                eps,
-                &mut self.reg_mean,
-                &mut self.reg_var,
-                &mut self.reg_istd,
-            );
+        if let Some(nrm) = norm {
+            self.bn_moments(nchunks, nrm.eps);
         }
-
-        // F2 (parallel): normalize + context-dropout + score GEMM + softmax.
+        // F2 (parallel): normalize + context dropout + score GEMM + softmax.
         {
-            let bn = reg.batch_norm.then(|| {
-                let nrm = model.interaction_norm().expect("asserted above");
-                (&self.reg_mean[..], &self.reg_istd[..], &nrm.gamma[..], &nrm.beta[..])
-            });
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_forward_chunk(model, qs, targets, label_smooth, reg, base, bn, c)
+            let bn = norm.map(|nrm| (&self.reg_mean[..], &self.reg_istd[..], &nrm.gamma[..], &nrm.beta[..]));
+            run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+                kv_scores_chunk(model, qs, targets, label_smooth, reg, base, bn, c)
             });
         }
         if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
@@ -1901,60 +1520,22 @@ impl GradWorkspace {
 
         // B1 (parallel): residual-collapse GEMM + context-dropout backward.
         let span = timing.is_some().then(Instant::now);
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_backward_gemm_chunk(model, qs, reg, base, c)
-            });
-        }
-
+        run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+            kv_context_grads_chunk(model, qs, reg, base, c)
+        });
         // S2 (sequential, chunk order): f64 γ/β gradient sums. Needs every
         // query's ∂L/∂y before B2 overwrites `gctx` with ∂L/∂x in place.
-        if reg.batch_norm {
-            self.reg_gb64.clear();
-            self.reg_gb64.resize(kdim, 0.0);
-            self.reg_gg64.clear();
-            self.reg_gg64.resize(kdim, 0.0);
-            for c in &self.blocked[..nchunks] {
-                for g in 0..c.groups {
-                    let gy = &c.gctx[g * kdim..(g + 1) * kdim];
-                    let x = &c.raw_ctxs[g * kdim..(g + 1) * kdim];
-                    for f in 0..kdim {
-                        let xhat = f64::from((x[f] - self.reg_mean[f]) * self.reg_istd[f]);
-                        self.reg_gb64[f] += f64::from(gy[f]);
-                        self.reg_gg64[f] += f64::from(gy[f]) * xhat;
-                    }
-                }
-            }
-            self.reg_gbeta.resize(kdim, 0.0);
-            self.reg_ggamma.resize(kdim, 0.0);
-            self.reg_gbeta_q.resize(kdim, 0.0);
-            self.reg_ggamma_q.resize(kdim, 0.0);
-            let qf = queries.len() as f64;
-            for f in 0..kdim {
-                self.reg_gbeta[f] = self.reg_gb64[f] as f32;
-                self.reg_ggamma[f] = self.reg_gg64[f] as f32;
-                self.reg_gbeta_q[f] = (self.reg_gb64[f] / qf) as f32;
-                self.reg_ggamma_q[f] = (self.reg_gg64[f] / qf) as f32;
-            }
+        if norm.is_some() {
+            self.bn_param_grads(nchunks);
         }
-
         // B2 (parallel): batch-norm input gradient + sparse scatter.
-        let epoch = self.epoch;
         {
-            let bn = reg.batch_norm.then(|| {
-                let nrm = model.interaction_norm().expect("asserted above");
-                (
-                    &self.reg_mean[..],
-                    &self.reg_istd[..],
-                    &nrm.gamma[..],
-                    &self.reg_gbeta_q[..],
-                    &self.reg_ggamma_q[..],
-                )
+            let epoch = self.epoch;
+            let bn = norm.map(|nrm| {
+                (&self.reg_mean[..], &self.reg_istd[..], &nrm.gamma[..], &self.reg_gbeta_q[..], &self.reg_ggamma_q[..])
             });
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_scatter_chunk(model, qs, l2_coef, reg, base, n3, epoch, bn, c)
+            run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+                kv_scatter_chunk(model, qs, l2_coef, reg, base, n3, epoch, bn, c)
             });
         }
         self.scatter_kv_dense(nchunks);
@@ -1971,7 +1552,69 @@ impl GradWorkspace {
         self.loss
     }
 
-    /// The last regularized batch's batch-norm statistics: per-feature
+    /// Phase S1: the batch moments of the pre-norm contexts, reduced in
+    /// f64 sequentially over chunks in chunk order, then rounded once to
+    /// the f32 mean, biased variance, and inverse std.
+    fn bn_moments(&mut self, nchunks: usize, eps: f32) {
+        // Contexts are scored against entity rows, so they share its width.
+        let kdim = self.ent_row_len;
+        self.reg_sum.clear();
+        self.reg_sum.resize(kdim, 0.0);
+        self.reg_sumsq.clear();
+        self.reg_sumsq.resize(kdim, 0.0);
+        self.reg_mean.resize(kdim, 0.0);
+        self.reg_var.resize(kdim, 0.0);
+        self.reg_istd.resize(kdim, 0.0);
+        for c in &self.blocked[..nchunks] {
+            for x in c.raw_ctxs[..c.groups * kdim].chunks(kdim) {
+                accumulate_moments(x, &mut self.reg_sum, &mut self.reg_sumsq);
+            }
+        }
+        finalize_moments(
+            &self.reg_sum,
+            &self.reg_sumsq,
+            self.reg_queries,
+            eps,
+            &mut self.reg_mean,
+            &mut self.reg_var,
+            &mut self.reg_istd,
+        );
+    }
+
+    /// Phase S2: the summed γ/β gradients (`Σ gy·x̂`, `Σ gy`) reduced in
+    /// f64 sequentially over chunks in chunk order, plus their per-query
+    /// means that the norm backward consumes.
+    fn bn_param_grads(&mut self, nchunks: usize) {
+        let kdim = self.ent_row_len;
+        self.reg_gb64.clear();
+        self.reg_gb64.resize(kdim, 0.0);
+        self.reg_gg64.clear();
+        self.reg_gg64.resize(kdim, 0.0);
+        for c in &self.blocked[..nchunks] {
+            for g in 0..c.groups {
+                let gy = &c.gctx[g * kdim..(g + 1) * kdim];
+                let x = &c.raw_ctxs[g * kdim..(g + 1) * kdim];
+                for f in 0..kdim {
+                    let xhat = f64::from((x[f] - self.reg_mean[f]) * self.reg_istd[f]);
+                    self.reg_gb64[f] += f64::from(gy[f]);
+                    self.reg_gg64[f] += f64::from(gy[f]) * xhat;
+                }
+            }
+        }
+        self.reg_gbeta.resize(kdim, 0.0);
+        self.reg_ggamma.resize(kdim, 0.0);
+        self.reg_gbeta_q.resize(kdim, 0.0);
+        self.reg_ggamma_q.resize(kdim, 0.0);
+        let qf = self.reg_queries as f64;
+        for f in 0..kdim {
+            self.reg_gbeta[f] = self.reg_gb64[f] as f32;
+            self.reg_ggamma[f] = self.reg_gg64[f] as f32;
+            self.reg_gbeta_q[f] = (self.reg_gb64[f] / qf) as f32;
+            self.reg_ggamma_q[f] = (self.reg_gg64[f] / qf) as f32;
+        }
+    }
+
+    /// The last batch-norm k-vs-all batch's statistics: per-feature
     /// mean, **biased** variance, and the query count `Q` they were
     /// computed over. The trainer turns these into running-stat updates
     /// (unbiasing the variance with `Q/(Q−1)`).
@@ -1979,7 +1622,7 @@ impl GradWorkspace {
         (&self.reg_mean, &self.reg_var, self.reg_queries)
     }
 
-    /// The last regularized batch's summed γ and β gradients (in that
+    /// The last batch-norm k-vs-all batch's summed γ and β gradients (in that
     /// order), ready for the optimizer step on the norm parameters.
     pub fn reg_norm_grads(&self) -> (&[f32], &[f32]) {
         (&self.reg_ggamma, &self.reg_gbeta)
@@ -2587,39 +2230,80 @@ mod tests {
         assert_eq!(keys.len(), unordered);
     }
 
+    /// [`toy_model`], plus — for batch-norm cases — an interaction norm
+    /// with non-identity γ/β so the norm's gradients are exercised.
+    fn fd_model(seed: u64, batch_norm: bool) -> MultiEmbedModel {
+        let mut model = toy_model(seed);
+        if batch_norm {
+            model.enable_interaction_norm(0.1, 1e-5);
+            let nrm = model.interaction_norm_mut().unwrap();
+            for f in 0..nrm.kdim() {
+                nrm.gamma[f] = 0.8 + 0.05 * f as f32;
+                nrm.beta[f] = 0.1 - 0.03 * f as f32;
+            }
+        }
+        model
+    }
+
     /// The full kvsall backward (pass A + scatter + pass B + anchor fold)
     /// against central finite differences of the returned loss over every
-    /// entity and relation parameter, with and without label smoothing.
+    /// entity and relation parameter: the plain pipeline with and without
+    /// label smoothing, then each regularizer stage alone and all three
+    /// together. The mask seed is fixed, so the loss is a deterministic
+    /// function of the parameters. With batch norm, γ and β join the
+    /// parameter vector and [`GradWorkspace::reg_norm_grads`] is checked.
     #[test]
     fn kvsall_grads_match_finite_differences() {
         use mei_autodiff::finite_difference_gradient;
         let (queries, targets) = kv_queries_and_targets();
-        for ls in [0.0f32, 0.1] {
-            let model = toy_model(17);
+        let stages = |dropout, input_dropout, batch_norm| KvRegConfig {
+            dropout,
+            input_dropout,
+            batch_norm,
+            mask_seed: 0x5eed,
+        };
+        // The regularized cases take a wider step: dropout's 1/(1−p)
+        // scaling and the batch-norm rescale amplify the f32 rounding
+        // noise of the loss, which a 1e-3 central difference magnifies
+        // past the tolerance; at 1e-2 the truncation error is still far
+        // inside it.
+        let cases = [
+            (0.0f32, KvRegConfig::default(), 1e-3),
+            (0.1, KvRegConfig::default(), 1e-3),
+            (0.1, stages(0.0, 0.3, false), 1e-2),
+            (0.1, stages(0.3, 0.0, false), 1e-2),
+            (0.1, stages(0.0, 0.0, true), 1e-2),
+            (0.1, stages(0.3, 0.3, true), 1e-2),
+        ];
+        for (ls, reg, step) in cases {
+            let model = fd_model(17, reg.batch_norm);
             let ent_row_len = model.entities.row_len();
             let rel_row_len = model.relations.row_len();
             let ne_floats = model.entities.len();
-            let base: Vec<f64> = model
-                .entities
-                .as_slice()
-                .iter()
-                .chain(model.relations.as_slice())
-                .map(|&v| f64::from(v))
-                .collect();
+            let emb_floats = ne_floats + model.relations.len();
+            let mut base: Vec<f32> =
+                model.entities.as_slice().iter().chain(model.relations.as_slice()).copied().collect();
+            let kdim = model.interaction_norm().map(|nrm| {
+                base.extend(&nrm.gamma);
+                base.extend(&nrm.beta);
+                nrm.kdim()
+            });
+            let base: Vec<f64> = base.into_iter().map(f64::from).collect();
             let f = |x: &[f64]| {
-                let mut m = toy_model(17);
-                for (dst, &src) in m.entities.as_mut_slice().iter_mut().zip(&x[..ne_floats]) {
-                    *dst = src as f32;
-                }
-                for (dst, &src) in m.relations.as_mut_slice().iter_mut().zip(&x[ne_floats..]) {
-                    *dst = src as f32;
+                let mut m = fd_model(17, reg.batch_norm);
+                let x: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                m.entities.as_mut_slice().copy_from_slice(&x[..ne_floats]);
+                m.relations.as_mut_slice().copy_from_slice(&x[ne_floats..emb_floats]);
+                if let (Some(nrm), Some(kdim)) = (m.interaction_norm_mut(), kdim) {
+                    nrm.gamma.copy_from_slice(&x[emb_floats..emb_floats + kdim]);
+                    nrm.beta.copy_from_slice(&x[emb_floats + kdim..]);
                 }
                 let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-                ws.compute_kvsall(&m, &queries, &targets, 0.0, ls, None)
+                ws.compute_kvsall(&m, &queries, &targets, 0.0, ls, &reg, None)
             };
-            let fd = finite_difference_gradient(f, &base, 1e-3);
+            let fd = finite_difference_gradient(f, &base, step);
             let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-            ws.compute_kvsall(&model, &queries, &targets, 0.0, ls, None);
+            ws.compute_kvsall(&model, &queries, &targets, 0.0, ls, &reg, None);
             let mut analytic = vec![0.0f64; base.len()];
             ws.for_each_row(|k, g| {
                 let off = match k {
@@ -2630,10 +2314,16 @@ mod tests {
                     analytic[off + i] = f64::from(v);
                 }
             });
+            if kdim.is_some() {
+                let (ggamma, gbeta) = ws.reg_norm_grads();
+                for (dst, &v) in analytic[emb_floats..].iter_mut().zip(ggamma.iter().chain(gbeta)) {
+                    *dst = f64::from(v);
+                }
+            }
             for (i, (&a, &n)) in analytic.iter().zip(&fd).enumerate() {
                 assert!(
                     (a - n).abs() < 3e-3 * (1.0 + n.abs()),
-                    "ls={ls}: param {i}: analytic {a} vs fd {n}"
+                    "ls={ls} {reg:?}: param {i}: analytic {a} vs fd {n}"
                 );
             }
         }
@@ -2751,7 +2441,7 @@ mod tests {
         }
 
         let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 2);
-        let loss = ws.compute_kvsall(&model, &queries, &targets, l2_coef, ls, None);
+        let loss = ws.compute_kvsall(&model, &queries, &targets, l2_coef, ls, &KvRegConfig::default(), None);
         assert!((loss - loss_ref).abs() < 1e-6 * (1.0 + loss_ref.abs()));
         let mut visited = 0usize;
         ws.for_each_row(|k, g| {
@@ -2783,7 +2473,7 @@ mod tests {
             let model = if learned { learned_toy_model(19) } else { toy_model(19) };
             let gather = |threads: usize| {
                 let mut ws = GradWorkspace::with_threads(GradPath::Blocked, threads);
-                let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, None);
+                let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
                 let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
                 ws.for_each_row_sorted(|k, g| {
                     rows.push((k, g.iter().map(|v| v.to_bits()).collect()))
@@ -2807,7 +2497,7 @@ mod tests {
         let batch = toy_batch();
         let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 2);
         let gather_kv = |ws: &mut GradWorkspace| {
-            let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, None);
+            let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
             let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
             ws.for_each_row_sorted(|k, g| rows.push((k, g.iter().map(|v| v.to_bits()).collect())));
             (loss.to_bits(), rows)

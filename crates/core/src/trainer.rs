@@ -309,11 +309,14 @@ impl Trainer {
                     .to_owned(),
             ));
         }
-        let norm_params = if self.config.batch_norm {
-            cp_model.interaction_norm().map_or(0, |nrm| 2 * nrm.kdim())
-        } else {
-            0
-        };
+        if !self.config.batch_norm && cp_model.interaction_norm().is_some() {
+            return Err(SerializeError::Format(
+                "the checkpoint model carries an interaction norm but the config does not ask for \
+                 batch_norm"
+                    .to_owned(),
+            ));
+        }
+        let norm_params = cp_model.interaction_norm().map_or(0, |nrm| 2 * nrm.kdim());
         let expected =
             cp_model.entities.len() + cp_model.relations.len() + omega_params + norm_params;
         if checkpoint.optimizer.len != expected {
@@ -395,6 +398,11 @@ impl Trainer {
             cfg.dirichlet.is_none() || model.block_term_shape().is_none(),
             "the Dirichlet ω regularizer is incompatible with block-term models: its gradient \
              would touch off-support ω cells"
+        );
+        assert!(
+            cfg.batch_norm || model.interaction_norm().is_none(),
+            "a model carrying an interaction norm must train with batch_norm: without it the \
+             training gradient never chains through the norm that eval applies"
         );
         if cfg.batch_norm && model.interaction_norm().is_none() {
             model.enable_interaction_norm(0.1, 1e-5);
@@ -486,6 +494,14 @@ impl Trainer {
         let mut grad_raw_scratch = vec![0.0f32; omega_params];
         let mut norm_param_scratch = vec![0.0f32; norm_params];
         let mut norm_grad_scratch = vec![0.0f32; norm_params];
+        // The k-vs-all regularizer stages; each one that is off is an
+        // identity stage of the same pipeline.
+        let mut kv_reg = KvRegConfig {
+            dropout: cfg.dropout,
+            input_dropout: cfg.input_dropout,
+            batch_norm: cfg.batch_norm,
+            mask_seed: 0,
+        };
 
         for epoch in (start_epoch + 1)..=cfg.max_epochs {
             let epoch_started = Instant::now();
@@ -530,32 +546,18 @@ impl Trainer {
                     // batch mask seed); plain batches draw none — each
                     // regime's stream stays in lockstep with its own
                     // checkpoints.
-                    let loss = if reg_active {
-                        let reg = KvRegConfig {
-                            dropout: cfg.dropout,
-                            input_dropout: cfg.input_dropout,
-                            batch_norm: cfg.batch_norm,
-                            mask_seed: rng.next_u64(),
-                        };
-                        workspace.compute_kvsall_reg(
-                            model,
-                            &queries,
-                            targets,
-                            l2_coef,
-                            label_smooth,
-                            &reg,
-                            observing.then_some(&mut phases),
-                        )
-                    } else {
-                        workspace.compute_kvsall(
-                            model,
-                            &queries,
-                            targets,
-                            l2_coef,
-                            label_smooth,
-                            observing.then_some(&mut phases),
-                        )
-                    };
+                    if reg_active {
+                        kv_reg.mask_seed = rng.next_u64();
+                    }
+                    let loss = workspace.compute_kvsall(
+                        model,
+                        &queries,
+                        targets,
+                        l2_coef,
+                        label_smooth,
+                        &kv_reg,
+                        observing.then_some(&mut phases),
+                    );
                     epoch_examples += queries.len();
                     loss
                 } else {
@@ -1235,6 +1237,26 @@ mod tests {
             model.entities.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(4), "regularized training diverged across thread counts");
+    }
+
+    /// A model that carries an interaction norm but trains without batch
+    /// norm would step on the gradient of a different function than the
+    /// one eval scores: refused up front.
+    #[test]
+    #[should_panic(expected = "must train with batch_norm")]
+    fn norm_carrying_model_rejects_training_without_batch_norm() {
+        let ds = ring_dataset();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut model = MultiEmbedModel::from_preset(
+            WeightPreset::ComplEx,
+            ds.num_entities(),
+            ds.num_relations(),
+            4,
+            &mut rng,
+        );
+        model.enable_interaction_norm(0.1, 1e-5);
+        let filter = ds.filter_store();
+        Trainer::new(kvsall_config()).train(&mut model, &ds, &filter);
     }
 
     #[test]

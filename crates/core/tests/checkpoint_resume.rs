@@ -272,5 +272,13 @@ fn resume_rejects_mismatched_dataset_and_optimizer() {
         .expect_err("mismatched optimizer must be rejected");
     assert!(err.to_string().contains("optimizer"), "{err}");
 
+    // A norm-carrying checkpoint model under a config without batch norm.
+    let mut cp = load_checkpoint(&ckpt).unwrap();
+    cp.model.enable_interaction_norm(0.1, 1e-5);
+    let err = Trainer::new(config())
+        .resume(&mut model, &ds, &filter, cp)
+        .expect_err("a norm-carrying model without batch_norm must be rejected");
+    assert!(err.to_string().contains("interaction norm"), "{err}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
