@@ -383,6 +383,9 @@ pub fn select_top_k(scores: &[f32], k: usize, excluded: &[EntityId]) -> Vec<(Ent
         excluded.windows(2).all(|w| w[0] < w[1]),
         "excluded must be sorted and deduplicated"
     );
+    // A depth beyond the candidate count returns every candidate; clamping
+    // it keeps a request-supplied `k` from sizing the allocation.
+    let k = k.min(scores.len());
     let mut top: Vec<(EntityId, f32)> = Vec::with_capacity(k + 1);
     if k == 0 {
         return top;
@@ -636,6 +639,13 @@ mod tests {
         assert!(select_top_k(&scores, 0, &[]).is_empty());
         let all: Vec<EntityId> = (0..3).map(EntityId).collect();
         assert!(select_top_k(&scores, 2, &all).is_empty());
+    }
+
+    #[test]
+    fn select_top_k_depth_beyond_the_candidates_returns_them_all() {
+        let scores = [3.0f32, 1.0, 2.0];
+        let top = select_top_k(&scores, usize::MAX, &[EntityId(2)]);
+        assert_eq!(top, vec![(EntityId(0), 3.0), (EntityId(1), 1.0)]);
     }
 
     mod properties {

@@ -1,10 +1,13 @@
-//! Microbenchmarks of the evaluation kernels: the classic f64-accumulating
-//! vecops against the unrolled multi-accumulator variants, and the
-//! cache-blocked GEMM against per-row dots at WN18-like shape
-//! (n·D = 400, tens of thousands of entity rows).
+//! Microbenchmarks of the dense kernels: the classic f64-accumulating
+//! vecops against the unrolled multi-accumulator variants, the register-
+//! tiled `gemm_nt` against per-row dots, and the k-vs-all backward's
+//! `gemm_nn_acc` (pass A) and `gemm_tn_acc` (pass B), all at WN18-like
+//! shape (n·D = 400, thousands of entity rows).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mei_math::kernels::{dot_fast, gemm_nt, hadamard_axpy_fast, trilinear_fast};
+use mei_math::kernels::{
+    dot_fast, gemm_nn_acc, gemm_nt, gemm_tn_acc, hadamard_axpy_fast, trilinear_fast,
+};
 use mei_math::vecops::{dot, hadamard_axpy, trilinear};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,6 +66,23 @@ fn bench_gemm(c: &mut Criterion) {
         ben.iter(|| {
             gemm_nt(black_box(&a), black_box(&b), K, &mut out);
             out[0]
+        })
+    });
+    // The k-vs-all backward at the same shape: `w` stands in for the
+    // m×n softmax residuals.
+    let w = random_vec(&mut rng, m * n);
+    let mut gctx = vec![0.0f32; m * K];
+    group.bench_function("gemm_nn_acc (pass A)", |ben| {
+        ben.iter(|| {
+            gemm_nn_acc(black_box(&w), black_box(&b), K, &mut gctx);
+            gctx[0]
+        })
+    });
+    let mut gent = vec![0.0f32; n * K];
+    group.bench_function("gemm_tn_acc (pass B)", |ben| {
+        ben.iter(|| {
+            gemm_tn_acc(black_box(&w), n, black_box(&a), K, 0, &mut gent);
+            gent[0]
         })
     });
     group.bench_function("per-query dot_fast rows", |ben| {

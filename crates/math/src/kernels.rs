@@ -1,31 +1,45 @@
-//! Blocked, SIMD-friendly evaluation kernels.
+//! Blocked, SIMD-friendly dense kernels for ranking and k-vs-all training.
 //!
-//! Link-prediction ranking reduces to scoring a small matrix of query
-//! contexts against the whole entity table — a tall-skinny `A · Bᵀ`. The
-//! kernels here make that memory-bandwidth-bound instead of latency-bound:
+//! Link-prediction ranking and the k-vs-all trainer both score a small
+//! matrix of query contexts against the whole entity table — a tall-skinny
+//! `A · Bᵀ` — and the trainer's backward adds two more GEMM-shaped passes.
+//! At the trainer's shapes (tens of queries, tens of thousands of entities,
+//! `k` in the hundreds) the table block is L2-resident, so these kernels
+//! are bound by loads and arithmetic, not memory bandwidth; register tiles
+//! cut the loads per arithmetic operation.
 //!
 //! * [`dot_fast`] / [`trilinear_fast`] / [`hadamard_axpy_fast`] — unrolled
 //!   multi-accumulator variants of the `vecops` kernels. Eight independent
 //!   f32 lanes break the serial dependency chain of the classic
 //!   one-accumulator loop, so the autovectorizer maps them onto full-width
 //!   SIMD FMAs.
-//! * [`gemm_nt`] — a cache-blocked `out = A · Bᵀ` over row-major inputs
-//!   that streams each block of B (the entity table) through L2 exactly
-//!   once per block of A rows (the packed query contexts).
+//! * [`gemm_nt`] — `out = A · Bᵀ` over row-major inputs, used by the
+//!   evaluation ranking pass, serving and the k-vs-all forward. Each
+//!   L2-sized block of B (the entity table) is swept by 4×3 register tiles
+//!   of outputs (4 rows of A against 3 rows of B).
+//! * [`gemm_nn_acc`] / [`gemm_tn_acc`] — the k-vs-all backward's `out += W·B`
+//!   (pass A) and `out += Wᵀ·C` (pass B). A tile of 4 output rows × 16
+//!   floats stays in registers across the whole reduction.
 //!
 //! # Determinism contract
 //!
 //! Every element of [`gemm_nt`]'s output is computed by the *same*
 //! reduction (same lane count, same combine tree, same FMA usage) as one
-//! [`dot_fast`] call on the corresponding rows. Blocking only reorders
-//! *which* (row, column) pairs are computed when — never the arithmetic
-//! inside one pair — so the blocked evaluation path produces bit-identical
-//! scores to the per-query path within a process. On x86-64 the kernels
-//! dispatch once (cached) to a hand-written AVX2+FMA variant when the CPU
-//! supports it; both callers go through the same dispatch, preserving the
-//! bit-identity. (The AVX2 and portable variants may differ from *each
-//! other* in the last bit — the contract is within a process, not across
-//! machines.)
+//! [`dot_fast`] call on the corresponding rows. Blocking and tiling only
+//! reorder *which* (row, column) pairs are computed when — never the
+//! arithmetic inside one pair. The AVX2 dot keeps four independent 8-lane
+//! slot accumulators; the tile computes them one slot at a time
+//! (slot-major), and because no slot reads another before the final
+//! combine, each element still sees the same FMAs in the same order. So
+//! the blocked evaluation path produces bit-identical scores to the
+//! per-query path within a process. Likewise every element of the backward
+//! kernels is the ascending plain mul-then-add sequence of the naive loop,
+//! whether it runs in a register tile or through [`axpy_fast`]. On x86-64
+//! the kernels dispatch once (cached) to a hand-written AVX2+FMA variant
+//! when the CPU supports it; all callers go through the same dispatch,
+//! preserving the bit-identity. (The AVX2 and portable variants may differ
+//! from *each other* in the last bit — the contract is within a process,
+//! not across machines.)
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -132,13 +146,19 @@ fn hadamard_axpy_body<const FMA: bool>(alpha: f32, a: &[f32], b: &[f32], out: &m
 mod x86 {
     //! Hand-written AVX2+FMA kernels. Four 256-bit accumulators hide the
     //! FMA latency chain; the horizontal reduction order is fixed, so the
-    //! same inputs always produce the same bits on this path. Callers must
-    //! check [`super::avx2_fma_enabled`] first.
+    //! same inputs always produce the same bits on this path. The GEMMs run
+    //! register tiles whose per-element arithmetic is that of [`dot_inner`]
+    //! (forward) or [`axpy`] (backward). Callers must check
+    //! [`super::avx2_fma_enabled`] first.
     use super::rows_per_block;
     use std::arch::x86_64::*;
 
-    /// Shared dot kernel: the one reduction both [`dot`] and [`gemm_nt`]
-    /// use, which is what makes blocked and per-query scores bit-identical.
+    /// Shared dot kernel: the one reduction [`dot`], [`dot_gather`] and the
+    /// [`gemm_nt`] edges use. Four 8-lane slot accumulators: slot `s` sums
+    /// `a[32t+8s..]·b[32t+8s..]` over ascending `t`, then [`dot_finish`]
+    /// folds them. The [`nt_tile`] register tile runs exactly these FMAs
+    /// per output element, which is what makes blocked and per-query
+    /// scores bit-identical.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dot_inner(a: *const f32, b: *const f32, len: usize) -> f32 {
@@ -166,6 +186,23 @@ mod x86 {
             );
             i += 32;
         }
+        dot_finish([acc0, acc1, acc2, acc3], a, b, i, len)
+    }
+
+    /// The common end of every f32 dot on this path: combine the four slot
+    /// accumulators as `(s0+s1)+(s2+s3)`, run the 8-wide FMA tail from
+    /// `i = 32·⌊len/32⌋`, reduce the lanes with a fixed tree, then add the
+    /// scalar tail.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_finish(
+        slots: [__m256; 4],
+        a: *const f32,
+        b: *const f32,
+        mut i: usize,
+        len: usize,
+    ) -> f32 {
+        let [acc0, acc1, acc2, acc3] = slots;
         let mut acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
         while i + 8 <= len {
             acc = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(i)), _mm256_loadu_ps(b.add(i)), acc);
@@ -400,47 +437,242 @@ mod x86 {
         }
     }
 
+    /// Rows × columns of the [`gemm_nt`] register tile: 12 slot
+    /// accumulators, 3 `B` vectors and one `A` vector fill AVX2's 16 ymm
+    /// registers.
+    const NT_MR: usize = 4;
+    const NT_NR: usize = 3;
+
+    /// One `MR × NR` tile of `A·Bᵀ`: `out[r·ldo + c] = dot(a + r·k, b + c·k)`,
+    /// bit-identical to [`dot_inner`] on the same rows. The tile runs
+    /// `dot_inner`'s four slot accumulators one slot at a time
+    /// (slot-major): for slot `s` and ascending `t`, every element applies
+    /// `acc = fma(a_r[32t+8s..], b_c[32t+8s..], acc)` — exactly the FMAs
+    /// `dot_inner` applies to its `acc_s`, in the same order. The slots are
+    /// independent until the combine, so computing them one after another
+    /// changes no bit; the finished slots go through the shared
+    /// [`dot_finish`].
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available; `a` must address `MR` rows and `b` `NR`
+    /// rows of `k` floats, and `out` must address the `MR × NR` tile at
+    /// row stride `ldo`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn nt_tile<const MR: usize, const NR: usize>(
+        a: *const f32,
+        b: *const f32,
+        k: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        let blocks = k / 32;
+        let mut slots = [[[_mm256_setzero_ps(); 4]; NR]; MR];
+        for s in 0..4 {
+            let mut acc = [[_mm256_setzero_ps(); NR]; MR];
+            for t in 0..blocks {
+                let off = 32 * t + 8 * s;
+                let mut bv = [_mm256_setzero_ps(); NR];
+                for (c, v) in bv.iter_mut().enumerate() {
+                    *v = _mm256_loadu_ps(b.add(c * k + off));
+                }
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = _mm256_loadu_ps(a.add(r * k + off));
+                    for (x, bc) in row.iter_mut().zip(&bv) {
+                        *x = _mm256_fmadd_ps(av, *bc, *x);
+                    }
+                }
+            }
+            for (srow, row) in slots.iter_mut().zip(&acc) {
+                for (slot, x) in srow.iter_mut().zip(row) {
+                    slot[s] = *x;
+                }
+            }
+        }
+        for (r, srow) in slots.iter().enumerate() {
+            for (c, slot) in srow.iter().enumerate() {
+                let (ar, bc) = (a.add(r * k), b.add(c * k));
+                *out.add(r * ldo + c) = dot_finish(*slot, ar, bc, 32 * blocks, k);
+            }
+        }
+    }
+
+    /// `MR` rows of `A` against `bn` rows of `B`: full [`NT_NR`]-column
+    /// tiles, then the leftover columns through [`dot_inner`].
+    ///
+    /// # Safety
+    /// As [`nt_tile`], with `b` addressing `bn` rows and `out` an
+    /// `MR × bn` block at row stride `ldo`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn nt_rows<const MR: usize>(
+        a: *const f32,
+        b: *const f32,
+        k: usize,
+        bn: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        let mut j = 0usize;
+        while j + NT_NR <= bn {
+            nt_tile::<MR, NT_NR>(a, b.add(j * k), k, out.add(j), ldo);
+            j += NT_NR;
+        }
+        for j in j..bn {
+            for r in 0..MR {
+                *out.add(r * ldo + j) = dot_inner(a.add(r * k), b.add(j * k), k);
+            }
+        }
+    }
+
+    /// `out = A·Bᵀ`: each L2-sized block of `B` rows is swept by [`NT_MR`]-row
+    /// register tiles of `A` (then one-row tiles for the leftover rows).
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn gemm_nt(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
         let m = a.len() / k;
         let n = b.len() / k;
         let nb = rows_per_block(k);
+        let (pa, po) = (a.as_ptr(), out.as_mut_ptr());
         for (block_idx, bblock) in b.chunks(nb * k).enumerate() {
-            let j0 = block_idx * nb;
-            let bn = bblock.len() / k;
-            for i in 0..m {
-                let arow = a.as_ptr().add(i * k);
-                let orow = &mut out[i * n + j0..i * n + j0 + bn];
-                for (j, slot) in orow.iter_mut().enumerate() {
-                    *slot = dot_inner(arow, bblock.as_ptr().add(j * k), k);
+            let (j0, bn, pb) = (block_idx * nb, bblock.len() / k, bblock.as_ptr());
+            let mut i = 0usize;
+            while i + NT_MR <= m {
+                nt_rows::<NT_MR>(pa.add(i * k), pb, k, bn, po.add(i * n + j0), n);
+                i += NT_MR;
+            }
+            for i in i..m {
+                nt_rows::<1>(pa.add(i * k), pb, k, bn, po.add(i * n + j0), n);
+            }
+        }
+    }
+
+    /// Rows and width (in floats) of the backward register tile
+    /// ([`wsum_tile`]): 8 accumulators, 2 source vectors, the broadcast
+    /// weight and a product fit AVX2's 16 ymm registers.
+    const WS_MR: usize = 4;
+    const WS_W: usize = 16;
+
+    /// `out_r[d..d+16] += w(r, t)·src_t[d..d+16]` for `MR` output rows over
+    /// ascending `t < steps`, where `w(r, t) = *w.add(r·w_row + t·w_red)`,
+    /// `src_t = src + t·k` and `out_r = out + r·k`. The 16-float slice of
+    /// each row stays in registers across the whole reduction; each step is
+    /// [`axpy`]'s per-element plain mul, then add (no FMA), so every element
+    /// gets the bits of the ascending [`axpy`] sequence without its
+    /// per-step load and store of the output.
+    ///
+    /// # Safety
+    /// AVX2 must be available; every addressed weight, `src` row slice and
+    /// `out` row slice `[d, d + 16)` must be in bounds.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn wsum_tile<const MR: usize>(
+        w: *const f32,
+        w_row: usize,
+        w_red: usize,
+        src: *const f32,
+        k: usize,
+        steps: usize,
+        out: *mut f32,
+        d: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        for (r, x) in acc.iter_mut().enumerate() {
+            let o = out.add(r * k + d);
+            *x = [_mm256_loadu_ps(o), _mm256_loadu_ps(o.add(8))];
+        }
+        for t in 0..steps {
+            let s = src.add(t * k + d);
+            let (b0, b1) = (_mm256_loadu_ps(s), _mm256_loadu_ps(s.add(8)));
+            for (r, x) in acc.iter_mut().enumerate() {
+                let wv = _mm256_set1_ps(*w.add(r * w_row + t * w_red));
+                x[0] = _mm256_add_ps(x[0], _mm256_mul_ps(wv, b0));
+                x[1] = _mm256_add_ps(x[1], _mm256_mul_ps(wv, b1));
+            }
+        }
+        for (r, x) in acc.iter().enumerate() {
+            let o = out.add(r * k + d);
+            _mm256_storeu_ps(o, x[0]);
+            _mm256_storeu_ps(o.add(8), x[1]);
+        }
+    }
+
+    /// `MR` whole output rows of a weighted row sum (see [`wsum_tile`]):
+    /// 16-float column tiles, then the `k mod 16` tail columns through
+    /// [`axpy`] per step, ascending.
+    ///
+    /// # Safety
+    /// As [`wsum_tile`], for every column of the `MR` rows.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn wsum_rows<const MR: usize>(
+        w: *const f32,
+        w_row: usize,
+        w_red: usize,
+        src: *const f32,
+        k: usize,
+        steps: usize,
+        out: *mut f32,
+    ) {
+        let mut d = 0usize;
+        while d + WS_W <= k {
+            wsum_tile::<MR>(w, w_row, w_red, src, k, steps, out, d);
+            d += WS_W;
+        }
+        if d < k {
+            for r in 0..MR {
+                let orow = std::slice::from_raw_parts_mut(out.add(r * k + d), k - d);
+                for t in 0..steps {
+                    let srow = std::slice::from_raw_parts(src.add(t * k + d), k - d);
+                    axpy(*w.add(r * w_row + t * w_red), srow, orow);
                 }
             }
         }
     }
 
-    /// `out += W·B` (row-major, no transpose): the no-FMA [`axpy`] is the
-    /// inner op, dispatched once for the whole product instead of once per
-    /// row pair. Same blocking as the scalar body.
+    /// [`wsum_rows`] over `rows` output rows: [`WS_MR`]-row tiles, then
+    /// one-row tiles for the leftover rows.
+    ///
+    /// # Safety
+    /// As [`wsum_rows`], for every one of the `rows` rows.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn wsum(
+        w: *const f32,
+        w_row: usize,
+        w_red: usize,
+        src: *const f32,
+        k: usize,
+        steps: usize,
+        out: *mut f32,
+        rows: usize,
+    ) {
+        let mut r = 0usize;
+        while r + WS_MR <= rows {
+            wsum_rows::<WS_MR>(w.add(r * w_row), w_row, w_red, src, k, steps, out.add(r * k));
+            r += WS_MR;
+        }
+        for r in r..rows {
+            wsum_rows::<1>(w.add(r * w_row), w_row, w_red, src, k, steps, out.add(r * k));
+        }
+    }
+
+    /// `out += W·B` (row-major, no transpose): per L2-sized block of `B`
+    /// rows, [`wsum`] with output row `i` weighted by `W[i, e0 + e]`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gemm_nn_acc(w: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
         let n = b.len() / k;
         let m = out.len() / k;
         let nb = rows_per_block(k);
         for (block_idx, bblock) in b.chunks(nb * k).enumerate() {
-            let e0 = block_idx * nb;
-            let bn = bblock.len() / k;
-            for i in 0..m {
-                let orow = &mut out[i * k..(i + 1) * k];
-                for e in 0..bn {
-                    axpy(*w.get_unchecked(i * n + e0 + e), &bblock[e * k..(e + 1) * k], orow);
-                }
-            }
+            let (e0, bn) = (block_idx * nb, bblock.len() / k);
+            wsum(w.as_ptr().add(e0), n, 1, bblock.as_ptr(), k, bn, out.as_mut_ptr(), m);
         }
     }
 
-    /// Row range `[e0, e0 + out_rows)` of `out += Wᵀ·C`: no-FMA [`axpy`]
-    /// inner op, one dispatch for the whole scatter. Same blocking as the
-    /// scalar body.
+    /// Row range `[e0, e0 + out_rows)` of `out += Wᵀ·C`: per block of `C`
+    /// rows, [`wsum`] with output row `e` weighted by `W[g0 + g, e0 + e]`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gemm_tn_acc(
         w: &[f32],
@@ -456,12 +688,8 @@ mod x86 {
         let mut g0 = 0usize;
         while g0 < m {
             let gn = gb.min(m - g0);
-            for e in 0..rows {
-                let orow = &mut out[e * k..(e + 1) * k];
-                for g in g0..g0 + gn {
-                    axpy(*w.get_unchecked(g * n + e0 + e), &ctxs[g * k..(g + 1) * k], orow);
-                }
-            }
+            let pw = w.as_ptr().add(g0 * n + e0);
+            wsum(pw, 1, n, ctxs.as_ptr().add(g0 * k), k, gn, out.as_mut_ptr(), rows);
             g0 += gn;
         }
     }
@@ -690,9 +918,11 @@ fn gemm_nt_body<const FMA: bool>(a: &[f32], b: &[f32], k: usize, out: &mut [f32]
 /// `B`'s rows are processed in L2-sized blocks and every `A` row visits the
 /// hot block before the next one is loaded, so `B` (the entity table, which
 /// at WN18 scale is tens of MB) is streamed from memory once per `m`-row
-/// block of queries instead of once per query. Each output element is
-/// reduced exactly like one [`dot_fast`] call on the corresponding rows —
-/// see the module-level determinism contract.
+/// block of queries instead of once per query. On the AVX2 path each block
+/// is swept by 4×3 register tiles, so one load of a row feeds three or four
+/// FMAs instead of one. Each output element is reduced exactly like one
+/// [`dot_fast`] call on the corresponding rows — see the module-level
+/// determinism contract.
 ///
 /// # Panics
 /// Panics when `a.len()` or `b.len()` is not a multiple of `k`, or when
@@ -783,9 +1013,12 @@ fn gemm_nn_acc_body(w: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
 /// loads), which only changes *when* a given `(i, e)` rank-1 contribution
 /// happens — per output row the reduction over `e` is always ascending,
 /// for **any** block size, because the block loop itself walks `e`
-/// ascending. Combined with the plain mul/add (no-FMA) AXPY inner op —
-/// whose SIMD lanes are bit-equal to the scalar expression — the result is
-/// bit-identical to the naive ascending scalar loop.
+/// ascending. Combined with the plain mul/add (no-FMA) inner op — whose
+/// SIMD lanes are bit-equal to the scalar expression — the result is
+/// bit-identical to the naive ascending scalar loop. On the AVX2 path a
+/// 4-row × 16-float tile of `out` stays in registers across each block's
+/// reduction, so `out` is loaded and stored once per block, not once per
+/// `(row, e)` step.
 ///
 /// # Panics
 /// Panics when the shapes disagree (`b.len()` not a multiple of `k`,
@@ -837,8 +1070,8 @@ fn gemm_tn_acc_body(w: &[f32], n: usize, ctxs: &[f32], k: usize, e0: usize, out:
 /// row's reduction over `g` is a single ascending scan regardless of
 /// `e0`/range split *and* of the `C`-block size (the block loop walks `g`
 /// ascending), so any sharding produces identical bits. Inner op is the
-/// plain mul/add (no-FMA) AXPY, bit-equal to the scalar expression per
-/// element.
+/// plain mul/add (no FMA), bit-equal to the scalar expression per element,
+/// run on the same register tiles as [`gemm_nn_acc`].
 ///
 /// # Panics
 /// Panics when shapes disagree (`ctxs.len()` not a multiple of `k`,
@@ -1032,6 +1265,94 @@ mod tests {
                     *o += alpha * p;
                 }
             }
+        }
+    }
+
+    /// The pass-B reference: `base` plus `Wᵀ·C` with each output row
+    /// reduced over `g` ascending — [`naive_wsum_rows`] on the transposed
+    /// weights.
+    fn naive_tn(w: &[f32], m: usize, n: usize, ctxs: &[f32], k: usize, base: &[f32]) -> Vec<f32> {
+        let mut wt = vec![0.0f32; w.len()];
+        for g in 0..m {
+            for e in 0..n {
+                wt[e * m + g] = w[g * n + e];
+            }
+        }
+        let mut out = base.to_vec();
+        naive_wsum_rows(&wt, ctxs, k, m, &mut out);
+        out
+    }
+
+    /// The portable dot's definition written per index: lane `d mod 8`
+    /// accumulates `a[d]·b[d]` (plain mul, then add) over the whole
+    /// 8-blocks, the lanes fold in a fixed tree, and the scalar tail is
+    /// added last.
+    fn lane_dot(a: &[f32], b: &[f32]) -> f32 {
+        let full = a.len() / LANES * LANES;
+        let mut l = [0.0f32; LANES];
+        for d in 0..full {
+            l[d % LANES] += a[d] * b[d];
+        }
+        let mut tail = 0.0f32;
+        for d in full..a.len() {
+            tail += a[d] * b[d];
+        }
+        (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))) + tail
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn portable_bodies_match_oracles_bitwise() {
+        // On an AVX2 host the dispatch never reaches these bodies, yet they
+        // are the only path on other targets: call them directly. The
+        // shapes cross the 8-lane tail and the cache-block boundary
+        // (k = 64 gives 1024-row blocks: of B at n = 3000, of C at m = 1500).
+        let mut rng = StdRng::seed_from_u64(35);
+        let shapes = [(1, 1, 1), (3, 5, 7), (5, 13, 100), (2, 3000, 64), (1500, 2, 64), (4, 30, 400)];
+        for (m, n, k) in shapes {
+            let a = random_vec(&mut rng, m * k);
+            let b = random_vec(&mut rng, n * k);
+            let what = format!("({m},{n},{k})");
+            for (i, arow) in a.chunks(k).enumerate() {
+                let brow = &b[(i % n) * k..(i % n + 1) * k];
+                assert_eq!(dot_body::<false>(arow, brow).to_bits(), lane_dot(arow, brow).to_bits());
+            }
+            let mut out = vec![0.0f32; m * n];
+            gemm_nt_body::<false>(&a, &b, k, &mut out);
+            let want: Vec<f32> = (0..m * n)
+                .map(|ij| lane_dot(&a[ij / n * k..][..k], &b[ij % n * k..][..k]))
+                .collect();
+            assert_bits_eq(&out, &want, &format!("gemm_nt_body {what}"));
+            let mut reference = vec![0.0f32; m * n];
+            gemm_nt_ref(&a, &b, k, &mut reference);
+            for (f, r) in out.iter().zip(&reference) {
+                assert!((f - r).abs() <= 1e-4 * (1.0 + r.abs()), "{what}: {f} vs {r}");
+            }
+
+            let w = random_vec(&mut rng, m * n);
+            let base = random_vec(&mut rng, m * k);
+            let mut fast = base.clone();
+            gemm_nn_acc_body(&w, &b, k, &mut fast);
+            let mut want = base;
+            naive_wsum_rows(&w, &b, k, n, &mut want);
+            assert_bits_eq(&fast, &want, &format!("gemm_nn_acc_body {what}"));
+
+            // Pass B with W as m×n over the m context rows `a`, sharded at
+            // a nonzero e0.
+            let base = random_vec(&mut rng, n * k);
+            let split = n / 2;
+            let mut fast = base.clone();
+            let (lo, hi) = fast.split_at_mut(split * k);
+            gemm_tn_acc_body(&w, n, &a, k, 0, lo);
+            gemm_tn_acc_body(&w, n, &a, k, split, hi);
+            let want = naive_tn(&w, m, n, &a, k, &base);
+            assert_bits_eq(&fast, &want, &format!("gemm_tn_acc_body {what}"));
         }
     }
 
@@ -1325,6 +1646,63 @@ mod tests {
                 gemm_nt_ref(&a, &b, k, &mut reference);
                 for (f, r) in fast.iter().zip(&reference) {
                     prop_assert!((f - r).abs() <= 1e-5 * (1.0 + r.abs()), "{f} vs {r}");
+                }
+            }
+
+            /// Register-tile edges: `m` and `n` off the tile multiples
+            /// (4×3 for `gemm_nt`, 4 rows × 16 floats for the backward
+            /// kernels), `k` crossing the 8- and 32-wide tails, and pass B
+            /// sharded at nonzero `e0` — every element must keep the bits
+            /// of its per-element oracle.
+            #[test]
+            fn tiled_kernels_match_per_element_oracles_bitwise(
+                m in 1usize..11,
+                n in 1usize..14,
+                k in 1usize..140,
+                cut in 0usize..14,
+                seed in 0u64..1000
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let a = random_vec(&mut rng, m * k);
+                let b = random_vec(&mut rng, n * k);
+                let mut out = vec![0.0f32; m * n];
+                gemm_nt(&a, &b, k, &mut out);
+                for (ij, got) in out.iter().enumerate() {
+                    let (i, j) = (ij / n, ij % n);
+                    let want = dot_fast(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "gemm_nt ({},{})", i, j);
+                }
+
+                let w = random_vec(&mut rng, m * n);
+                let base = random_vec(&mut rng, m * k);
+                let mut fast = base.clone();
+                gemm_nn_acc(&w, &b, k, &mut fast);
+                let mut want = base;
+                naive_wsum_rows(&w, &b, k, n, &mut want);
+                for (i, (f, r)) in fast.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(f.to_bits(), r.to_bits(), "gemm_nn_acc [{}]", i);
+                }
+
+                // Pass B over the m context rows `a`, in three row ranges
+                // [0, s1), [s1, s2), [s2, n) with s1 ≤ s2 drawn from `cut`.
+                let base = random_vec(&mut rng, n * k);
+                let (s1, s2) = ((cut % (n + 1)).min(n / 2), (cut % (n + 1)).max(n / 2));
+                let mut fast = base.clone();
+                let (head, rest) = fast.split_at_mut(s1 * k);
+                let (mid, tail) = rest.split_at_mut((s2 - s1) * k);
+                gemm_tn_acc(&w, n, &a, k, 0, head);
+                gemm_tn_acc(&w, n, &a, k, s1, mid);
+                gemm_tn_acc(&w, n, &a, k, s2, tail);
+                let want = naive_tn(&w, m, n, &a, k, &base);
+                for (i, (f, r)) in fast.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        f.to_bits(),
+                        r.to_bits(),
+                        "gemm_tn_acc [{}] split {}/{}",
+                        i,
+                        s1,
+                        s2
+                    );
                 }
             }
 

@@ -10,8 +10,10 @@
 //! * [`vecops`] — dot products, trilinear products, AXPY, Hadamard products,
 //!   norms, and in-place normalization over `&[f32]` slices.
 //! * [`kernels`] — unrolled multi-accumulator variants of the hot vecops
-//!   plus the cache-blocked [`kernels::gemm_nt`] used by the evaluation
-//!   ranking pipeline.
+//!   plus the register-tiled, cache-blocked GEMMs: [`kernels::gemm_nt`]
+//!   (evaluation ranking, serving and the k-vs-all forward) and the
+//!   k-vs-all backward's [`kernels::gemm_nn_acc`] / [`kernels::gemm_tn_acc`],
+//!   each bit-identical to its per-element reduction.
 //! * [`block`] — block-term (Tucker) contraction kernels for the MEI
 //!   K×Ce×Cr family, walk-order replicas of the generic ω term walk.
 //! * [`reg`] — counter-based dropout masks and f64 batch-norm moment
